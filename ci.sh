@@ -61,6 +61,18 @@ diff <(./target/release/all --list | sed 's/ — .*//' | sort) \
      <(ls crates/bench/src/bin | sed 's/\.rs$//' | grep -vx all | sort) \
   || { echo "registry and crates/bench/src/bin drifted apart"; exit 1; }
 
+echo "== one entry point per harness (no forwarding wrappers in dtl-sim) =="
+# exec::run_units_traced is the engine primitive the sweeps share, not a
+# harness variant.
+if grep -rnE 'pub fn [a-z0-9_]+_(traced|observed)\b|pub fn (run_jobs|run_campaign_jobs|run_checks_jobs)\b' \
+        crates/sim/src | grep -v 'pub fn run_units_traced\b'; then
+    echo "a plain/_traced/_observed/run_jobs wrapper reappeared in crates/sim/src"
+    exit 1
+fi
+
+echo "== perfbench self-tests (benchmark contract + replica-fidelity digests) =="
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -19,7 +19,10 @@ fn main() {
         }
         return;
     }
-    let cli = ExperimentCli::from_args();
+    let cli = ExperimentCli::from_args().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
     for exp in registry() {
         println!("\n########## {} ##########", exp.name());
         if let Err(msg) = dtl_bench::drive_experiment(*exp, &cli) {

@@ -38,7 +38,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dtl_sim::experiments::{Experiment, RunContext};
+use dtl_core::DtlError;
+use dtl_sim::experiments::{parse_flag, Experiment, RunContext};
 use dtl_telemetry::{chrome_trace, jsonl, MetricsRegistry, PowerTimeline, RingSink, Telemetry};
 
 /// Ring capacity: a fig10/fig12-class run emits well under a million
@@ -71,30 +72,37 @@ pub struct ExperimentCli {
 
 impl ExperimentCli {
     /// Parses the process arguments.
-    pub fn from_args() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`DtlError::InvalidConfig`] when a shared flag's value is missing
+    /// or malformed.
+    pub fn from_args() -> Result<Self, DtlError> {
         Self::parse(std::env::args().skip(1).collect())
     }
 
-    fn parse(args: Vec<String>) -> Self {
-        let value_of = |flag: &str| -> Option<&String> {
-            args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
-        };
-        let parsed = |flag: &str| -> Option<u64> {
-            value_of(flag).map(|v| {
-                v.parse().unwrap_or_else(|_| panic!("{flag} expects an integer, got {v:?}"))
-            })
+    fn parse(args: Vec<String>) -> Result<Self, DtlError> {
+        let path_of = |flag: &str| -> Result<Option<PathBuf>, DtlError> {
+            Ok(parse_flag::<String>(&args, flag)?.map(PathBuf::from))
         };
         let tiny = args.iter().any(|a| a == "--tiny" || a == "--quick");
-        let seed = parsed("--seed");
-        let jobs =
-            parsed("--jobs").map_or_else(dtl_sim::exec::available_jobs, |n| (n as usize).max(1));
-        let out = value_of("--out").map(PathBuf::from);
-        let trace_out = value_of("--trace-out").map(PathBuf::from);
-        let metrics_out = value_of("--metrics-out").map(PathBuf::from);
-        let timeseries_out = value_of("--timeseries-out").map(PathBuf::from);
-        let series_width = timeseries_out
-            .as_ref()
-            .map(|_| parsed("--timeseries-width-s").unwrap_or(300) * 1_000_000_000_000);
+        let seed = parse_flag(&args, "--seed")?;
+        let jobs = parse_flag::<usize>(&args, "--jobs")?
+            .map_or_else(dtl_sim::exec::available_jobs, |n| n.max(1));
+        let out = path_of("--out")?;
+        let trace_out = path_of("--trace-out")?;
+        let metrics_out = path_of("--metrics-out")?;
+        let timeseries_out = path_of("--timeseries-out")?;
+        let width_s = parse_flag::<u64>(&args, "--timeseries-width-s")?.unwrap_or(300);
+        let width_ps =
+            width_s.checked_mul(1_000_000_000_000).filter(|&w| w > 0).ok_or_else(|| {
+                DtlError::InvalidConfig {
+                    reason: format!(
+                        "--timeseries-width-s expects a positive window, got {width_s}"
+                    ),
+                }
+            })?;
+        let series_width = timeseries_out.as_ref().map(|_| width_ps);
         let registry = Arc::new(MetricsRegistry::new());
         let (sink, telemetry) = if trace_out.is_some() || metrics_out.is_some() {
             let sink = Arc::new(RingSink::with_capacity(RING_CAPACITY));
@@ -104,7 +112,7 @@ impl ExperimentCli {
         } else {
             (None, Telemetry::disabled())
         };
-        ExperimentCli {
+        Ok(ExperimentCli {
             tiny,
             seed,
             jobs,
@@ -117,7 +125,7 @@ impl ExperimentCli {
             registry,
             telemetry,
             args,
-        }
+        })
     }
 
     /// The [`RunContext`] this invocation describes.
@@ -151,11 +159,10 @@ impl ExperimentCli {
     /// every rank's open power-state span at `horizon_ps` when given (the
     /// replay horizon) or at the last recorded event otherwise.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if an output path cannot be written — the binaries have
-    /// nothing useful to do without their output.
-    pub fn finish(&self, horizon_ps: Option<u64>) {
+    /// The message to report when an output path cannot be written.
+    pub fn finish(&self, horizon_ps: Option<u64>) -> Result<(), String> {
         if let Some(sink) = &self.sink {
             // Surfaced in both places a consumer might look: the metrics
             // dump (as a counter) and stderr (loudly) — a truncated stream
@@ -175,32 +182,40 @@ impl ExperimentCli {
             let last = events.iter().map(|e| e.at_ps).max().unwrap_or(0);
             let end_ps = horizon_ps.unwrap_or(last).max(last);
             let timeline = PowerTimeline::from_events(&events, end_ps);
-            fs::write(path, chrome_trace(&timeline, &events)).expect("write Chrome trace");
+            write(path, chrome_trace(&timeline, &events))?;
             eprintln!("[trace saved {} — open in Perfetto or chrome://tracing]", path.display());
             let raw = path.with_extension("jsonl");
-            fs::write(&raw, jsonl(&events)).expect("write event JSONL");
+            write(&raw, jsonl(&events))?;
             eprintln!("[events saved {}]", raw.display());
         }
         if let Some(path) = &self.metrics_out {
-            fs::write(path, self.registry.render_text()).expect("write metrics dump");
+            write(path, self.registry.render_text())?;
             eprintln!("[metrics saved {}]", path.display());
         }
+        Ok(())
     }
 }
 
+/// Writes `body` to `path`, or returns the message to report.
+fn write(path: &Path, body: impl AsRef<[u8]>) -> Result<(), String> {
+    fs::write(path, body).map_err(|e| format!("write {}: {e}", path.display()))
+}
+
 /// Runs the registered experiment `name` under the process arguments —
-/// the entire body of every experiment binary. Exits nonzero on a device
-/// error or an acceptance failure.
+/// the entire body of every experiment binary. Exits nonzero with the
+/// message on a malformed flag, a device error, an unwritable output, or an
+/// acceptance failure.
 ///
 /// # Panics
 ///
-/// Panics if `name` is not in the registry or an output path cannot be
-/// written.
+/// Panics if `name` is not in the registry.
 pub fn drive(name: &str) {
     let exp = dtl_sim::experiments::find(name)
         .unwrap_or_else(|| panic!("{name} is not in the experiment registry"));
-    let cli = ExperimentCli::from_args();
-    if let Err(msg) = drive_experiment(exp, &cli) {
+    let outcome = ExperimentCli::from_args()
+        .map_err(|e| format!("{name}: {e}"))
+        .and_then(|cli| drive_experiment(exp, &cli));
+    if let Err(msg) = outcome {
         eprintln!("{msg}");
         std::process::exit(1);
     }
@@ -212,12 +227,9 @@ pub fn drive(name: &str) {
 ///
 /// # Errors
 ///
-/// Device errors and [`RunOutput::failure`](dtl_sim::experiments::RunOutput)
-/// acceptance failures.
-///
-/// # Panics
-///
-/// Panics if an output path cannot be written.
+/// Device and configuration errors, unwritable outputs, and
+/// [`RunOutput::failure`](dtl_sim::experiments::RunOutput) acceptance
+/// failures.
 pub fn drive_experiment(exp: &dyn Experiment, cli: &ExperimentCli) -> Result<(), String> {
     let ctx = cli.context();
     let out = exp.run(&ctx).map_err(|e| format!("{}: {e}", exp.name()))?;
@@ -227,9 +239,9 @@ pub fn drive_experiment(exp: &dyn Experiment, cli: &ExperimentCli) -> Result<(),
     if let Some(json) = &out.json {
         let path = cli.json_path(exp.name());
         if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir).expect("create results directory");
+            fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         }
-        fs::write(&path, json).expect("write results JSON");
+        write(&path, json)?;
         eprintln!("[saved {}]", path.display());
     }
     if let Some(path) = &cli.timeseries_out {
@@ -240,7 +252,7 @@ pub fn drive_experiment(exp: &dyn Experiment, cli: &ExperimentCli) -> Result<(),
                 } else {
                     series.to_csv()
                 };
-                fs::write(path, body).expect("write time series");
+                write(path, body)?;
                 eprintln!(
                     "[time series saved {} — {} windows of {}s]",
                     path.display(),
@@ -254,7 +266,7 @@ pub fn drive_experiment(exp: &dyn Experiment, cli: &ExperimentCli) -> Result<(),
             ),
         }
     }
-    cli.finish(out.horizon_ps);
+    cli.finish(out.horizon_ps)?;
     match out.failure {
         Some(msg) => Err(msg),
         None => Ok(()),
@@ -266,7 +278,7 @@ mod tests {
     use super::*;
 
     fn cli(args: &[&str]) -> ExperimentCli {
-        ExperimentCli::parse(args.iter().map(|s| (*s).to_string()).collect())
+        ExperimentCli::parse(args.iter().map(|s| (*s).to_string()).collect()).unwrap()
     }
 
     #[test]
@@ -307,12 +319,36 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let metrics = dir.join("m.txt");
         let c = cli(&["--metrics-out", metrics.to_str().unwrap()]);
-        c.finish(None);
+        c.finish(None).unwrap();
         let dump = fs::read_to_string(&metrics).unwrap();
         assert!(
             dump.contains("telemetry.dropped_events"),
             "the drop counter must land in the metrics dump: {dump}"
         );
+    }
+
+    #[test]
+    fn malformed_shared_flags_are_typed_errors() {
+        for (args, flag) in [
+            (&["--seed", "abc"][..], "--seed"),
+            (&["--jobs", "-1"], "--jobs"),
+            (&["--timeseries-width-s", "1.5"], "--timeseries-width-s"),
+            (&["--timeseries-width-s", "0"], "--timeseries-width-s"),
+            (&["--tiny", "--seed"], "--seed"),
+        ] {
+            let parsed = ExperimentCli::parse(args.iter().map(|s| (*s).to_string()).collect());
+            let Err(DtlError::InvalidConfig { reason }) = parsed else {
+                panic!("{args:?} must be rejected");
+            };
+            assert!(reason.starts_with(flag), "{args:?}: {reason}");
+        }
+    }
+
+    #[test]
+    fn malformed_experiment_flags_fail_the_drive() {
+        let exp = dtl_sim::experiments::find("pool_failover").unwrap();
+        let msg = drive_experiment(exp, &cli(&["--tiny", "--campaigns", "abc"])).unwrap_err();
+        assert!(msg.contains("--campaigns expects a u64"), "{msg}");
     }
 
     #[test]

@@ -100,12 +100,13 @@ pub trait MemoryBackend: fmt::Debug {
         let _ = telemetry;
     }
 
-    /// Cumulative power-state residency of one rank, integrated up to the
-    /// backend's current time *without* mutating accounting state. Indexed
-    /// by [`dtl_telemetry::PowerStateId::index`] order (Standby, APD, PPD,
+    /// Cumulative power-state residency of one rank, integrated up to `at`
+    /// *without* mutating accounting state — the same integral a
+    /// [`MemoryBackend::power_report`] at `at` carries. Indexed by
+    /// [`dtl_telemetry::PowerStateId::index`] order (Standby, APD, PPD,
     /// SelfRefresh, MPSM). Backends without residency tracking return zeros.
-    fn rank_residency(&self, channel: u32, rank: u32) -> [Picos; 5] {
-        let _ = (channel, rank);
+    fn rank_residency(&self, channel: u32, rank: u32, at: Picos) -> [Picos; 5] {
+        let _ = (channel, rank, at);
         [Picos::ZERO; 5]
     }
 
@@ -368,8 +369,8 @@ impl MemoryBackend for AnalyticBackend {
         self.telemetry = telemetry;
     }
 
-    fn rank_residency(&self, channel: u32, rank: u32) -> [Picos; 5] {
-        self.accounts[channel as usize][rank as usize].residency_to(self.now)
+    fn rank_residency(&self, channel: u32, rank: u32, at: Picos) -> [Picos; 5] {
+        self.accounts[channel as usize][rank as usize].residency_to(at)
     }
 
     fn residency_slack(&self) -> Picos {
@@ -531,8 +532,8 @@ impl MemoryBackend for CycleBackend {
         self.dram.set_telemetry(telemetry);
     }
 
-    fn rank_residency(&self, channel: u32, rank: u32) -> [Picos; 5] {
-        self.dram.rank_residency(RankId { channel, rank })
+    fn rank_residency(&self, channel: u32, rank: u32, at: Picos) -> [Picos; 5] {
+        self.dram.rank_residency(RankId { channel, rank }, at)
     }
 }
 
@@ -622,7 +623,7 @@ mod tests {
         let now = Picos::from_us(1);
         let standby = b.set_rank_state(0, 0, PowerState::Standby, now).unwrap();
         b.set_rank_state(0, 0, PowerState::Mpsm, standby).unwrap();
-        let total: Picos = b.rank_residency(0, 0).iter().copied().sum();
+        let total: Picos = b.rank_residency(0, 0, b.now()).iter().copied().sum();
         assert!(total >= b.now(), "the clock never lags now");
         assert!(
             total <= b.now() + b.residency_slack(),

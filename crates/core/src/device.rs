@@ -1682,7 +1682,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                     uncorrectable_errors: errors.uncorrectable,
                     allocated_segments: self.alloc.allocated_in_rank(c, r),
                     free_segments: self.alloc.free_in_rank(c, r),
-                    residency: self.backend.rank_residency(c, r),
+                    residency: self.backend.rank_residency(c, r, self.backend.now()),
                 });
             }
         }

@@ -256,14 +256,14 @@ impl DramSystem {
         *self.channels[id.channel as usize].rank(id.rank).counters()
     }
 
-    /// Cumulative per-state residency of one rank projected to the current
-    /// simulation time, in [`PowerState::ALL`] order, without mutating the
-    /// energy account. Derived from the same [`EnergyAccount`] the power
-    /// report integrates, so the two can never disagree.
+    /// Cumulative per-state residency of one rank projected to `at`, in
+    /// [`PowerState::ALL`] order, without mutating the energy account.
+    /// Derived from the same [`EnergyAccount`] the power report integrates,
+    /// so a report at `at` and this projection can never disagree.
     ///
     /// [`EnergyAccount`]: crate::EnergyAccount
-    pub fn rank_residency(&self, id: RankId) -> [Picos; 5] {
-        self.channels[id.channel as usize].rank(id.rank).energy().residency_to(self.now)
+    pub fn rank_residency(&self, id: RankId, at: Picos) -> [Picos; 5] {
+        self.channels[id.channel as usize].rank(id.rank).energy().residency_to(at)
     }
 
     /// Every rank's current power state in `(channel, rank)` order — the
@@ -475,7 +475,7 @@ mod tests {
             let (c, r) = (id.channel, id.rank);
             let reported = rep.residency[c as usize][r as usize];
             let from_events = tl.residency_ps(c, r);
-            let direct = s.rank_residency(id);
+            let direct = s.rank_residency(id, s.now());
             for i in 0..5 {
                 assert_eq!(from_events[i], reported[i].as_ps(), "rank {c}/{r} state {i}");
                 assert_eq!(direct[i], reported[i], "rank {c}/{r} state {i}");

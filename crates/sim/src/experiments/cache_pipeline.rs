@@ -45,15 +45,11 @@ pub struct CachePipelineResult {
 /// workload's segment-level structure with core-side line reuse (a skewed
 /// recency buffer, ~88 % of loads/stores re-touch recent lines) at
 /// core-side intensity (~300 accesses per kilo-instruction — roughly one
-/// load/store per three instructions).
-pub fn run(seed: u64, records: usize, workloads: &[WorkloadKind]) -> CachePipelineResult {
-    run_jobs(seed, records, workloads, 1)
-}
-
-/// Like [`run`], with one worker unit per workload — every workload owns
+/// load/store per three instructions). There is one worker unit per
+/// workload — every workload owns
 /// its own generator, RNG, recency buffer, and hierarchy, so the sharding
 /// is exact.
-pub fn run_jobs(
+pub fn run(
     seed: u64,
     records: usize,
     workloads: &[WorkloadKind],
@@ -112,7 +108,7 @@ mod tests {
 
     #[test]
     fn caches_compress_intensity_and_widen_strides() {
-        let r = run(7, 300_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch]);
+        let r = run(7, 300_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch], 1);
         for row in &r.rows {
             // Order-of-magnitude compression: ~300 raw APKI down to tens
             // at most (real CloudSuite reaches single digits with full-size

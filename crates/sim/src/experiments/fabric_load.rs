@@ -7,12 +7,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    run_fabric_cell, run_fabric_cell_observed, FabricCellResult, FabricRunConfig, Heartbeat,
-    RunObservations,
-};
+use super::RunContext;
+use crate::{run_fabric_cell, FabricCellResult, FabricRunConfig, RunObservations};
 use dtl_core::DtlError;
 use dtl_pool::PlacementPolicy;
+use dtl_telemetry::Telemetry;
 
 /// The two placement variants, swept in this order. The first is the
 /// headline and the only one traced.
@@ -70,46 +69,27 @@ pub fn ladder(cfg: &FabricRunConfig) -> [u64; 4] {
     }
 }
 
-/// Runs the full placement × load sweep sequentially.
+/// Runs the full placement × load sweep with the cells as parallel work
+/// units on `ctx.jobs` workers. Only the first (pack, lightest-load) cell
+/// records `ctx`'s telemetry and time series — the cells are independent
+/// fabrics whose timelines would not compose into one trace; per-unit
+/// buffers merge back in unit order, so the emitted trace and the result
+/// are bit-identical for any `jobs`. Returns that headline cell's
+/// out-of-band [`RunObservations`] (SLO report including the fabric-queue
+/// population, event-spine queue counters, and the series when requested).
+/// Under `--heartbeat` it ticks once per completed cell.
 ///
 /// # Errors
 ///
 /// Propagates pool/device errors from any cell.
-pub fn run(cfg: &FabricRunConfig) -> Result<FabricLoadResult, DtlError> {
-    run_jobs_traced(cfg, &dtl_telemetry::Telemetry::disabled(), 1)
-}
-
-/// Like [`run`], with the cells as parallel work units. Only the first
-/// (pack, lightest-load) cell records telemetry — the cells are
-/// independent fabrics whose timelines would not compose into one trace;
-/// per-unit buffers merge back in unit order, so the emitted trace and the
-/// result are bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any cell.
-pub fn run_jobs_traced(
+pub fn run(
     cfg: &FabricRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-) -> Result<FabricLoadResult, DtlError> {
-    run_jobs_observed(cfg, telemetry, jobs, &Heartbeat::disabled()).map(|(result, _)| result)
-}
-
-/// Like [`run_jobs_traced`], additionally returning the **headline**
-/// cell's out-of-band [`RunObservations`] (SLO report including the
-/// fabric-queue population, plus event-spine queue counters). The
-/// heartbeat ticks once per completed cell.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any cell.
-pub fn run_jobs_observed(
-    cfg: &FabricRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-    heartbeat: &Heartbeat,
+    ctx: &RunContext,
 ) -> Result<(FabricLoadResult, RunObservations), DtlError> {
+    let pool_cfg = cfg.pool_config();
+    let (telemetry, series) =
+        ctx.series_telemetry(u32::from(cfg.devices), pool_cfg.channels, pool_cfg.ranks_per_channel);
+    let heartbeat = ctx.heartbeat("fabric_load");
     let bursts = ladder(cfg);
     let mut units = Vec::with_capacity(VARIANTS.len() * bursts.len());
     for placement in VARIANTS {
@@ -118,18 +98,15 @@ pub fn run_jobs_observed(
         }
     }
     let total_units = units.len() as u64;
+    let untraced = Telemetry::disabled();
     let outcomes =
-        crate::exec::run_units_traced(jobs, telemetry, units, |i, (placement, burst), t| {
+        crate::exec::run_units_traced(ctx.jobs, &telemetry, units, |i, (placement, burst), t| {
             let mut cell = *cfg;
             cell.placement = placement;
             cell.burst = burst;
-            let (result, obs) = if i == 0 {
-                run_fabric_cell_observed(&cell, t).map(|(r, o)| (r, Some(o)))?
-            } else {
-                (run_fabric_cell(&cell)?, None)
-            };
+            let (result, obs) = run_fabric_cell(&cell, if i == 0 { t } else { &untraced })?;
             heartbeat.tick(total_units);
-            Ok::<_, DtlError>((result, obs))
+            Ok::<_, DtlError>((result, (i == 0).then_some(obs)))
         });
     let mut cells = Vec::with_capacity(total_units as usize);
     let mut headline_obs = RunObservations::default();
@@ -140,6 +117,7 @@ pub fn run_jobs_observed(
         }
         cells.push(cell);
     }
+    headline_obs.series = series.map(|s| s.finish(cfg.horizon().as_ps()));
     Ok((FabricLoadResult { cells }, headline_obs))
 }
 
@@ -155,7 +133,7 @@ mod tests {
 
     #[test]
     fn tail_latency_rises_and_pack_wins_on_port_energy() {
-        let r = run(&quick()).unwrap();
+        let (r, _) = run(&quick(), &RunContext::plain(true)).unwrap();
         assert_eq!(r.cells.len(), VARIANTS.len() * BURSTS_TINY.len());
         assert!(r.p99_monotone(), "{:#?}", r.cells);
         assert!(r.pack_energy_edge_mj() > 0.0, "{:#?}", r.cells);
@@ -164,8 +142,10 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_result() {
         let cfg = quick();
-        let a = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 1).unwrap();
-        let b = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 4).unwrap();
+        let mut ctx = RunContext::plain(true);
+        let (a, _) = run(&cfg, &ctx).unwrap();
+        ctx.jobs = 4;
+        let (b, _) = run(&cfg, &ctx).unwrap();
         assert_eq!(a, b);
     }
 }

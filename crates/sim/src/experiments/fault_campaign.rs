@@ -7,10 +7,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    run_faulted, FaultRunConfig, FaultRunResult, Heartbeat, PowerDownRunConfig, RunObservations,
-};
+use super::RunContext;
+use crate::{run_faulted, FaultRunConfig, FaultRunResult, PowerDownRunConfig, RunObservations};
 use dtl_core::DtlError;
+use dtl_dram::Picos;
+use dtl_telemetry::Telemetry;
 
 /// Combined result of the fault-free and faulted replays.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,76 +36,38 @@ pub struct FaultCampaignResult {
 }
 
 /// Runs the campaign: a quiet baseline and the faulted replay of the same
-/// schedule seed.
-///
-/// # Errors
-///
-/// Propagates device errors from either replay; an invariant violation
-/// after any injected fault fails the faulted run.
-pub fn run(cfg: &FaultRunConfig) -> Result<FaultCampaignResult, DtlError> {
-    run_traced(cfg, &dtl_telemetry::Telemetry::disabled())
-}
-
-/// Like [`run`], but streams telemetry from the **faulted replay** (the
+/// schedule seed, as two parallel work units on `ctx.jobs` workers. Only
+/// the **faulted replay** records `ctx`'s telemetry and time series (the
 /// quiet baseline stays untraced so its events do not interleave into the
-/// same timeline).
+/// same timeline); its unit records into a per-unit buffer merged back in
+/// unit order, so the emitted trace is bit-identical for any `jobs`.
+/// Returns the faulted replay's out-of-band [`RunObservations`] — its SLO
+/// report is the one that matters (the quiet baseline's latency carries no
+/// retry penalty by construction). Under `--heartbeat` it ticks once per
+/// completed replay.
 ///
 /// # Errors
 ///
 /// Propagates device errors from either replay; an invariant violation
 /// after any injected fault fails the faulted run.
-pub fn run_traced(
+pub fn run(
     cfg: &FaultRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-) -> Result<FaultCampaignResult, DtlError> {
-    run_jobs_traced(cfg, telemetry, 1)
-}
-
-/// Like [`run_traced`], with the quiet baseline and the faulted replay as
-/// two parallel work units. The baseline unit keeps its telemetry disabled
-/// (as in the sequential path) and the faulted unit records into a
-/// per-unit buffer merged back in unit order, so the emitted trace is
-/// bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates device errors from either replay; an invariant violation
-/// after any injected fault fails the faulted run.
-pub fn run_jobs_traced(
-    cfg: &FaultRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-) -> Result<FaultCampaignResult, DtlError> {
-    run_jobs_observed(cfg, telemetry, jobs, &Heartbeat::disabled()).map(|(result, _)| result)
-}
-
-/// Like [`run_jobs_traced`], additionally returning the **faulted**
-/// replay's out-of-band [`RunObservations`] — its SLO report is the one
-/// that matters (the quiet baseline's latency carries no retry penalty by
-/// construction). The heartbeat ticks once per completed replay.
-///
-/// # Errors
-///
-/// Propagates device errors from either replay; an invariant violation
-/// after any injected fault fails the faulted run.
-pub fn run_jobs_observed(
-    cfg: &FaultRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-    heartbeat: &Heartbeat,
+    ctx: &RunContext,
 ) -> Result<(FaultCampaignResult, RunObservations), DtlError> {
+    let (telemetry, series) = ctx.series_telemetry(1, cfg.run.channels, cfg.run.ranks_per_channel);
+    let heartbeat = ctx.heartbeat("fault_campaign");
     let mut outcomes =
-        crate::exec::run_units_traced(jobs, telemetry, vec![false, true], |_, inject, t| {
+        crate::exec::run_units_traced(ctx.jobs, &telemetry, vec![false, true], |_, inject, t| {
             let out = if inject {
-                crate::run_faulted_observed(cfg, t).map(|(r, o)| (r, Some(o)))
+                run_faulted(cfg, t)
             } else {
-                run_faulted(&FaultRunConfig::fault_free(cfg.faults.seed, cfg.run))
-                    .map(|r| (r, None))
+                let quiet = FaultRunConfig::fault_free(cfg.faults.seed, cfg.run);
+                run_faulted(&quiet, &Telemetry::disabled())
             };
             heartbeat.tick(2);
             out
         });
-    let (faulted, obs) = outcomes.pop().expect("two units")?;
+    let (faulted, mut obs) = outcomes.pop().expect("two units")?;
     let (baseline, _) = outcomes.pop().expect("two units")?;
     let device_bytes = cfg.run.node.mem_bytes;
     let result = FaultCampaignResult {
@@ -116,7 +79,9 @@ pub fn run_jobs_observed(
         energy_delta_fraction: faulted.total_energy_mj / baseline.total_energy_mj - 1.0,
         latency_penalty_ns: faulted.latency_penalty_ns,
     };
-    Ok((result, obs.unwrap_or_default()))
+    let horizon = Picos::from_secs(u64::from(cfg.run.duration_min) * 60).as_ps();
+    obs.series = series.map(|s| s.finish(horizon));
+    Ok((result, obs))
 }
 
 /// The paper-scale campaign: the Figure 12 schedule (6 h, 4×8 ranks) under
@@ -131,9 +96,9 @@ pub fn paper(seed: u64) -> FaultRunConfig {
     cfg.faults.storm = Some(dtl_fault::StormConfig {
         channel: 0,
         rank: 1,
-        start: dtl_dram::Picos::from_secs(3600),
+        start: Picos::from_secs(3600),
         events: 40,
-        spacing: dtl_dram::Picos::from_ms(250),
+        spacing: Picos::from_ms(250),
         correctable_ratio: 0.8,
     });
     cfg
@@ -145,7 +110,7 @@ mod tests {
 
     #[test]
     fn campaign_quantifies_fault_cost() {
-        let r = run(&FaultRunConfig::tiny_storm(7)).unwrap();
+        let (r, _) = run(&FaultRunConfig::tiny_storm(7), &RunContext::plain(true)).unwrap();
         assert_eq!(r.baseline.faults_injected, 0);
         assert!(r.faulted.faults_injected > 0);
         assert_eq!(r.faulted.ranks_retired, 1, "the storm retires its victim");

@@ -74,6 +74,7 @@ pub use registry::{find, registry};
 
 use std::sync::Arc;
 
+use crate::Heartbeat;
 use dtl_core::DtlError;
 use dtl_telemetry::{SloReport, TeeSink, Telemetry, TelemetrySink, TimeSeries, TimeSeriesSink};
 
@@ -124,28 +125,42 @@ impl RunContext {
 
     /// The value following a `--flag VALUE` pair in the raw args.
     pub fn value(&self, name: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        raw_value(&self.args, name)
     }
 
-    /// The telemetry handle an event-streaming experiment should install,
-    /// plus the windowed aggregator behind it when [`Self::series_width`]
-    /// is set.
+    /// A heartbeat labelled `label`, printing only under `--heartbeat`.
+    pub(crate) fn heartbeat(&self, label: &'static str) -> Heartbeat {
+        Heartbeat::new(self.flag("--heartbeat"), label)
+    }
+
+    /// The telemetry handle a sweep over a pool of `devices` identical
+    /// devices should install, plus the windowed aggregator behind it when
+    /// [`Self::series_width`] is set.
     ///
     /// Without a series request this is just [`Self::telemetry`]. With one,
     /// the returned handle folds every event into a fresh
     /// [`TimeSeriesSink`] — teed with the driver's sink when tracing is
-    /// also on, so neither output loses events. The experiment finishes the
-    /// sink at its horizon and hands the series back through
-    /// [`RunOutput::timeseries`].
-    pub fn series_telemetry(&self) -> (Telemetry, Option<Arc<TimeSeriesSink>>) {
+    /// also on, so neither output loses events. Every rank is
+    /// pre-registered so quiet ranks still accrue residency: member device
+    /// `d` streams through the channel-offset shim at channels
+    /// `d * channels ..`, and a single device is a pool of one. The sweep
+    /// finishes the sink at its horizon and hands the series back through
+    /// [`RunObservations::series`](crate::RunObservations::series).
+    pub(crate) fn series_telemetry(
+        &self,
+        devices: u32,
+        channels: u32,
+        ranks_per_channel: u32,
+    ) -> (Telemetry, Option<Arc<TimeSeriesSink>>) {
         let Some(width) = self.series_width else {
             return (self.telemetry.clone(), None);
         };
         let series = Arc::new(TimeSeriesSink::new(width));
+        for c in 0..devices * channels {
+            for rank in 0..ranks_per_channel {
+                series.ensure_rank(c, rank);
+            }
+        }
         let sink: Arc<dyn TelemetrySink> = if self.telemetry.enabled() {
             Arc::new(TeeSink::new(self.telemetry.sink().clone(), series.clone()))
         } else {
@@ -157,6 +172,32 @@ impl RunContext {
         }
         (telemetry, Some(series))
     }
+}
+
+fn raw_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+}
+
+/// Parses the value following `flag` in `args`: `Ok(None)` when the flag is
+/// absent. This is the one parse behind every valued flag, shared by the
+/// `dtl-bench` driver's CLI and the experiment-specific flags.
+///
+/// # Errors
+///
+/// [`DtlError::InvalidConfig`] when the flag has no value or the value does
+/// not parse as `T`.
+pub fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+) -> Result<Option<T>, DtlError> {
+    if !args.iter().any(|a| a == flag) {
+        return Ok(None);
+    }
+    let invalid = |reason: String| DtlError::InvalidConfig { reason };
+    let value = raw_value(args, flag).ok_or_else(|| invalid(format!("{flag} expects a value")))?;
+    value.parse().map(Some).map_err(|_| {
+        invalid(format!("{flag} expects a {}, got {value:?}", std::any::type_name::<T>()))
+    })
 }
 
 /// What an [`Experiment`] hands back to the driver.
@@ -197,7 +238,7 @@ impl RunOutput {
 
 /// A named, uniformly-drivable experiment: the unit the registry hands to
 /// the `dtl-bench` driver and the `all` binary. Implementations wrap the
-/// typed `run`/`run_jobs` functions of their module; the trait only fixes
+/// typed `run` function of their module; the trait only fixes
 /// configuration defaults (paper vs tiny scale, historical seeds) and
 /// rendering.
 pub trait Experiment: Sync {

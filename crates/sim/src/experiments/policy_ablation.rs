@@ -13,9 +13,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{run_pool_observed, Heartbeat, PoolRunConfig, PoolRunResult, RunObservations};
+use super::RunContext;
+use crate::{run_pool, PoolRunConfig, PoolRunResult, RunObservations};
 use dtl_core::DtlError;
-use dtl_dram::PowerPolicyKind;
+use dtl_dram::{Picos, PowerPolicyKind};
+use dtl_telemetry::Telemetry;
 
 /// The workload mixes swept, as (name, trickle burst length).
 pub const MIXES: [(&str, u64); 2] = [("cold-touch", 1), ("burst-256", 256)];
@@ -96,58 +98,37 @@ impl PolicyAblationResult {
     }
 }
 
-/// Runs the whole matrix sequentially.
+/// Runs the whole matrix with the cells as parallel work units on
+/// `ctx.jobs` workers. Only the first cell records `ctx`'s telemetry and
+/// time series (the cells are independent pools whose timelines would not
+/// compose into one trace); per-unit buffers merge back in unit order, so
+/// the emitted trace and the result are bit-identical for any `jobs`.
+/// Returns that first cell's out-of-band [`RunObservations`] (SLO report,
+/// event-spine queue counters, and the series when requested). Under
+/// `--heartbeat` it ticks once per completed cell — wall-clock stderr
+/// only, provably outside the result path.
 ///
 /// # Errors
 ///
 /// Propagates pool/device errors from any replay.
-pub fn run(cfg: &PoolRunConfig) -> Result<PolicyAblationResult, DtlError> {
-    run_jobs_traced(cfg, &dtl_telemetry::Telemetry::disabled(), 1)
-}
-
-/// Like [`run`], with the matrix cells as parallel work units. Only the
-/// first cell records telemetry (the cells are independent pools whose
-/// timelines would not compose into one trace); per-unit buffers merge
-/// back in unit order, so the emitted trace and the result are
-/// bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any replay.
-pub fn run_jobs_traced(
+pub fn run(
     cfg: &PoolRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-) -> Result<PolicyAblationResult, DtlError> {
-    run_jobs_observed(cfg, telemetry, jobs, &Heartbeat::disabled()).map(|(result, _)| result)
-}
-
-/// Like [`run_jobs_traced`], additionally returning the **first** cell's
-/// out-of-band [`RunObservations`] (SLO report and event-spine queue
-/// counters). The heartbeat ticks once per completed cell — wall-clock
-/// stderr only, provably outside the result path.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any replay.
-pub fn run_jobs_observed(
-    cfg: &PoolRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-    heartbeat: &Heartbeat,
+    ctx: &RunContext,
 ) -> Result<(PolicyAblationResult, RunObservations), DtlError> {
+    let (telemetry, series) =
+        ctx.series_telemetry(u32::from(cfg.devices), cfg.channels, cfg.ranks_per_channel);
+    let heartbeat = ctx.heartbeat("policy_ablation");
     let units = variants();
     let total_units = units.len() as u64;
+    let untraced = Telemetry::disabled();
     let outcomes =
-        crate::exec::run_units_traced(jobs, telemetry, units, |i, (policy, mix, coord), t| {
+        crate::exec::run_units_traced(ctx.jobs, &telemetry, units, |i, (policy, mix, coord), t| {
             let (mix_name, burst) = MIXES[mix];
             let mut variant = *cfg;
             variant.power_policy = policy;
             variant.trickle_burst = burst;
             variant.coordinator = coord;
-            let disabled = dtl_telemetry::Telemetry::disabled();
-            let telemetry = if i == 0 { t } else { &disabled };
-            let (result, obs) = run_pool_observed(&variant, telemetry)?;
+            let (result, obs) = run_pool(&variant, if i == 0 { t } else { &untraced })?;
             heartbeat.tick(total_units);
             let (access_p99_ps, access_mean_ps) = match obs.slo.access {
                 Some(a) => (a.p99_ps, a.mean_ps),
@@ -162,7 +143,7 @@ pub fn run_jobs_observed(
                 access_mean_ps,
                 result,
             };
-            Ok::<_, DtlError>((cell, if i == 0 { Some(obs) } else { None }))
+            Ok::<_, DtlError>((cell, (i == 0).then_some(obs)))
         });
     let mut cells = Vec::with_capacity(total_units as usize);
     let mut headline_obs = RunObservations::default();
@@ -174,6 +155,8 @@ pub fn run_jobs_observed(
         cells.push(cell);
     }
     let wins = score(&cells);
+    let horizon = Picos::from_secs(u64::from(cfg.duration_min) * 60).as_ps();
+    headline_obs.series = series.map(|s| s.finish(horizon));
     Ok((PolicyAblationResult { cells, wins }, headline_obs))
 }
 
@@ -217,7 +200,7 @@ mod tests {
 
     #[test]
     fn matrix_covers_every_policy_and_finds_a_win() {
-        let r = run(&PoolRunConfig::tiny(7)).unwrap();
+        let (r, _) = run(&PoolRunConfig::tiny(7), &RunContext::plain(true)).unwrap();
         assert_eq!(r.cells.len(), PowerPolicyKind::ALL.len() * MIXES.len() * 2);
         for kind in PowerPolicyKind::ALL {
             assert!(r.cells.iter().any(|c| c.policy == kind), "missing {}", kind.name());
@@ -250,8 +233,10 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_result() {
         let cfg = PoolRunConfig::tiny(11);
-        let a = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 1).unwrap();
-        let b = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 4).unwrap();
+        let mut ctx = RunContext::plain(true);
+        let (a, _) = run(&cfg, &ctx).unwrap();
+        ctx.jobs = 4;
+        let (b, _) = run(&cfg, &ctx).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -8,11 +8,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    run_pool, run_pool_observed, Heartbeat, PoolRunConfig, PoolRunResult, RunObservations,
-};
+use super::RunContext;
+use crate::{run_pool, PoolRunConfig, PoolRunResult, RunObservations};
 use dtl_core::DtlError;
+use dtl_dram::Picos;
 use dtl_pool::PlacementPolicy;
+use dtl_telemetry::Telemetry;
 
 /// The four (policy, coordinator) variants, replayed in this order. The
 /// first is the headline configuration and the only one traced.
@@ -55,62 +56,40 @@ impl PoolScaleResult {
     }
 }
 
-/// Runs all four variants sequentially.
+/// Runs all four variants as parallel work units on `ctx.jobs` workers.
+/// Only the headline pack+coordinator unit records `ctx`'s telemetry and
+/// time series (the variants are independent pools whose timelines would
+/// not compose into one trace); per-unit buffers merge back in unit order,
+/// so the emitted trace and the result are bit-identical for any `jobs`.
+/// Returns the headline variant's out-of-band [`RunObservations`] (SLO
+/// report, event-spine queue counters, and the series when requested).
+/// Under `--heartbeat` it ticks once per completed variant — wall-clock
+/// stderr only, provably outside the result path.
 ///
 /// # Errors
 ///
 /// Propagates pool/device errors from any replay.
-pub fn run(cfg: &PoolRunConfig) -> Result<PoolScaleResult, DtlError> {
-    run_jobs_traced(cfg, &dtl_telemetry::Telemetry::disabled(), 1)
-}
-
-/// Like [`run`], with the four variants as parallel work units. Only the
-/// headline pack+coordinator unit records telemetry (the variants are
-/// independent pools whose timelines would not compose into one trace);
-/// per-unit buffers merge back in unit order, so the emitted trace and the
-/// result are bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any replay.
-pub fn run_jobs_traced(
+pub fn run(
     cfg: &PoolRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-) -> Result<PoolScaleResult, DtlError> {
-    run_jobs_observed(cfg, telemetry, jobs, &Heartbeat::disabled()).map(|(result, _)| result)
-}
-
-/// Like [`run_jobs_traced`], additionally returning the **headline**
-/// variant's out-of-band [`RunObservations`] (SLO report and event-spine
-/// queue counters). The heartbeat ticks once per completed variant —
-/// wall-clock stderr only, provably outside the result path.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any replay.
-pub fn run_jobs_observed(
-    cfg: &PoolRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-    heartbeat: &Heartbeat,
+    ctx: &RunContext,
 ) -> Result<(PoolScaleResult, RunObservations), DtlError> {
+    let (telemetry, series) =
+        ctx.series_telemetry(u32::from(cfg.devices), cfg.channels, cfg.ranks_per_channel);
+    let heartbeat = ctx.heartbeat("pool_scale");
+    let untraced = Telemetry::disabled();
     let total_units = VARIANTS.len() as u64;
     let outcomes = crate::exec::run_units_traced(
-        jobs,
-        telemetry,
+        ctx.jobs,
+        &telemetry,
         VARIANTS.to_vec(),
         |i, (policy, coord), t| {
             let mut variant = *cfg;
             variant.policy = policy;
             variant.coordinator = coord;
-            let (result, obs) = if i == 0 {
-                run_pool_observed(&variant, t).map(|(r, o)| (r, Some(o)))
-            } else {
-                run_pool(&variant).map(|r| (r, None))
-            }?;
+            let (result, obs) = run_pool(&variant, if i == 0 { t } else { &untraced })?;
             heartbeat.tick(total_units);
-            Ok::<_, DtlError>((PoolScaleVariant { policy, coordinator: coord, result }, obs))
+            let variant = PoolScaleVariant { policy, coordinator: coord, result };
+            Ok::<_, DtlError>((variant, (i == 0).then_some(obs)))
         },
     );
     let mut variants = Vec::with_capacity(VARIANTS.len());
@@ -125,6 +104,8 @@ pub fn run_jobs_observed(
     let headline = variants[0].result.total_energy_mj;
     let baseline = variants[3].result.total_energy_mj;
     let savings_fraction = if baseline > 0.0 { 1.0 - headline / baseline } else { 0.0 };
+    let horizon = Picos::from_secs(u64::from(cfg.duration_min) * 60).as_ps();
+    headline_obs.series = series.map(|s| s.finish(horizon));
     Ok((PoolScaleResult { variants, savings_fraction }, headline_obs))
 }
 
@@ -134,7 +115,7 @@ mod tests {
 
     #[test]
     fn pack_with_coordinator_beats_spread_without() {
-        let r = run(&PoolRunConfig::tiny(7)).unwrap();
+        let (r, _) = run(&PoolRunConfig::tiny(7), &RunContext::plain(true)).unwrap();
         assert_eq!(r.variants.len(), 4);
         assert!(
             r.savings_fraction > 0.0,
@@ -152,8 +133,10 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_result() {
         let cfg = PoolRunConfig::tiny(11);
-        let a = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 1).unwrap();
-        let b = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 4).unwrap();
+        let mut ctx = RunContext::plain(true);
+        let (a, _) = run(&cfg, &ctx).unwrap();
+        ctx.jobs = 4;
+        let (b, _) = run(&cfg, &ctx).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -1,6 +1,6 @@
 //! The experiment registry: one [`Experiment`] impl per paper artifact,
 //! each a thin adapter from the uniform [`RunContext`] onto its module's
-//! typed `run`/`run_jobs` functions. The registry is the single source of
+//! one typed `run` function. The registry is the single source of
 //! truth the `dtl-bench` driver, the `all` binary, and CI's drift check
 //! consume — adding an experiment here is what makes it runnable.
 //!
@@ -11,9 +11,9 @@
 use super::{
     ablate_cke_powerdown, ablate_hotness_params, ablate_migration_priority, ablate_page_policy,
     ablate_segment_size, ablate_smc, cache_pipeline, diff_fuzz, fabric_load, fault_campaign, fig01,
-    fig02, fig05, fig09, fig10, fig11, fig12, fig14, fig15, loaded_latency, policy_ablation,
-    pool_failover, pool_scale, sec3_4_reentry, sec6_1, sec6_6, tab04, tab05, tab06, vm_campaign,
-    Experiment, RunContext, RunOutput,
+    fig02, fig05, fig09, fig10, fig11, fig12, fig14, fig15, loaded_latency, parse_flag,
+    policy_ablation, pool_failover, pool_scale, sec3_4_reentry, sec6_1, sec6_6, tab04, tab05,
+    tab06, vm_campaign, Experiment, RunContext, RunOutput,
 };
 use crate::render;
 use crate::{
@@ -22,6 +22,7 @@ use crate::{
 };
 use dtl_core::DtlError;
 use dtl_dram::Picos;
+use dtl_telemetry::{SloReport, TimeSeries};
 use dtl_trace::WorkloadKind;
 
 /// Defines a unit struct implementing [`Experiment`] with a closure-style
@@ -43,6 +44,26 @@ macro_rules! experiment {
     };
 }
 
+/// A campaign's output: `text` with the SLO table appended, the SLO report
+/// and time series attached, and the replay horizon for closing telemetry
+/// spans.
+fn observed(
+    text: String,
+    json: String,
+    horizon_ps: u64,
+    slo: SloReport,
+    series: Option<TimeSeries>,
+) -> RunOutput {
+    RunOutput {
+        text: format!("{text}\n{}", render::slo(&slo)),
+        json: Some(json),
+        horizon_ps: Some(horizon_ps),
+        failure: None,
+        slo: Some(slo),
+        timeseries: series,
+    }
+}
+
 experiment!(Fig01, "fig01", "Figure 1: VM memory usage profiling", |ctx| {
     let r = fig01::run(ctx.seed_or(1));
     Ok(RunOutput::new(render::fig01(&r).render(), to_json(&r)))
@@ -50,19 +71,19 @@ experiment!(Fig01, "fig01", "Figure 1: VM memory usage profiling", |ctx| {
 
 experiment!(Fig02, "fig02", "Figure 2: performance vs active ranks per channel", |ctx| {
     let requests = if ctx.tiny { 10_000 } else { 60_000 };
-    let r = fig02::run_jobs(requests, &WorkloadKind::ALL, ctx.jobs);
+    let r = fig02::run(requests, &WorkloadKind::ALL, ctx.jobs);
     Ok(RunOutput::new(render::fig02(&r).render(), to_json(&r)))
 });
 
 experiment!(Fig05, "fig05", "Figure 5: rank-interleaving cost, local vs CXL", |ctx| {
     let requests = if ctx.tiny { 10_000 } else { 60_000 };
-    let r = fig05::run_jobs(requests, &WorkloadKind::TRACED, ctx.jobs);
+    let r = fig05::run(requests, &WorkloadKind::TRACED, ctx.jobs);
     Ok(RunOutput::new(render::fig05(&r).render(), to_json(&r)))
 });
 
 experiment!(Fig09, "fig09", "Figure 9: post-cache stride distributions", |ctx| {
     let records = if ctx.tiny { 50_000 } else { 400_000 };
-    let r = fig09::run_jobs(ctx.seed_or(1), records, 16, ctx.jobs);
+    let r = fig09::run(ctx.seed_or(1), records, 16, ctx.jobs);
     Ok(RunOutput::new(render::fig09(&r).render(), to_json(&r)))
 });
 
@@ -88,7 +109,7 @@ experiment!(Fig12, "fig12", "Figures 12-13: rank-level power-down over the VM sc
     };
     // Execution-overhead inputs: Figure 5's CXL interleaving cost plus the
     // Section 6.1 translation inflation.
-    let r = fig12::run_jobs_traced(&cfg, (0.014, 0.0018), &ctx.telemetry, ctx.jobs)?;
+    let r = fig12::run(&cfg, (0.014, 0.0018), ctx)?;
     let mut out = RunOutput::new(
         format!("{}\n{}", render::fig12(&r).render(), render::fig13(&r).render()),
         to_json(&r),
@@ -103,7 +124,7 @@ experiment!(Fig14, "fig14", "Figure 14: hotness-aware self-refresh savings", |ct
         base.accesses = 1_000_000;
         base.scale = 256;
     }
-    let r = fig14::run_jobs(&base, &fig14::PAPER_POINTS, ctx.jobs)?;
+    let r = fig14::run(&base, &fig14::PAPER_POINTS, ctx.jobs)?;
     let mut out = RunOutput::new(render::fig14(&r).render(), to_json(&r));
     if ctx.telemetry.enabled() {
         // One additional traced treatment replay at the first allocation
@@ -111,7 +132,7 @@ experiment!(Fig14, "fig14", "Figure 14: hotness-aware self-refresh savings", |ct
         // timelines would not compose into one trace.
         let (_, ranks, frac) = fig14::PAPER_POINTS[0];
         let cfg = HotnessRunConfig { active_ranks: ranks, allocated_fraction: frac, ..base };
-        let traced = crate::run_hotness_traced(&cfg, &ctx.telemetry)?;
+        let traced = crate::run_hotness(&cfg, &ctx.telemetry)?;
         out.horizon_ps = Some(traced.duration.as_ps());
     }
     Ok(out)
@@ -123,12 +144,12 @@ experiment!(Fig15, "fig15", "Figure 15: stacked savings from both mechanisms", |
         base.accesses = 1_000_000;
         base.scale = 256;
     }
-    let r = fig15::run_jobs(&base, 8, &fig14::PAPER_POINTS, ctx.jobs)?;
+    let r = fig15::run(&base, 8, &fig14::PAPER_POINTS, ctx.jobs)?;
     Ok(RunOutput::new(render::fig15(&r).render(), to_json(&r)))
 });
 
 experiment!(Tab04, "tab04", "Table 4: per-workload MAPKI calibration", |ctx| {
-    let r = tab04::run_jobs(ctx.seed_or(1), 100_000, ctx.jobs);
+    let r = tab04::run(ctx.seed_or(1), 100_000, ctx.jobs);
     Ok(RunOutput::new(render::tab04(&r).render(), to_json(&r)))
 });
 
@@ -152,7 +173,7 @@ experiment!(Sec61, "sec6_1", "Section 6.1: AMAT under DTL translation", |ctx| {
 
 experiment!(Sec66, "sec6_6", "Section 6.6: device scaling and the mapping cost", |ctx| {
     let requests = if ctx.tiny { 8_000 } else { 40_000 };
-    let r = sec6_6::run_jobs(requests, &WorkloadKind::TRACED, ctx.jobs);
+    let r = sec6_6::run(requests, &WorkloadKind::TRACED, ctx.jobs);
     Ok(RunOutput::new(render::sec6_6(&r).render(), to_json(&r)))
 });
 
@@ -179,7 +200,7 @@ experiment!(
     "Section 5.2 methodology: the trace cache pipeline",
     |ctx| {
         let records = if ctx.tiny { 200_000 } else { 1_500_000 };
-        let r = cache_pipeline::run_jobs(ctx.seed_or(7), records, &WorkloadKind::TRACED, ctx.jobs);
+        let r = cache_pipeline::run(ctx.seed_or(7), records, &WorkloadKind::TRACED, ctx.jobs);
         Ok(RunOutput::new(render::cache_pipeline(&r).render(), to_json(&r)))
     }
 );
@@ -190,7 +211,7 @@ experiment!(
     "Model validation: loaded latency vs cycle simulator",
     |ctx| {
         let requests = if ctx.tiny { 4_000 } else { 20_000 };
-        let r = loaded_latency::run_jobs(ctx.seed_or(3), requests, ctx.jobs);
+        let r = loaded_latency::run(ctx.seed_or(3), requests, ctx.jobs);
         Ok(RunOutput::new(render::loaded_latency(&r).render(), to_json(&r)))
     }
 );
@@ -208,7 +229,7 @@ experiment!(
 
 experiment!(AblateSmc, "ablate_smc", "Ablation: segment mapping cache sizing", |ctx| {
     let accesses = if ctx.tiny { 100_000 } else { 600_000 };
-    let r = ablate_smc::run_jobs(ctx.seed_or(3), accesses, ctx.jobs);
+    let r = ablate_smc::run(ctx.seed_or(3), accesses, ctx.jobs);
     Ok(RunOutput::new(render::ablate_smc(&r).render(), to_json(&r)))
 });
 
@@ -222,7 +243,7 @@ experiment!(
             base.accesses = 1_500_000;
             base.scale = 256;
         }
-        let r = ablate_hotness_params::run_jobs(&base, ctx.jobs)?;
+        let r = ablate_hotness_params::run(&base, ctx.jobs)?;
         Ok(RunOutput::new(render::ablate_hotness_params(&r).render(), to_json(&r)))
     }
 );
@@ -233,7 +254,7 @@ experiment!(
     "Ablation: migration scheduling priority",
     |ctx| {
         let requests = if ctx.tiny { 5_000 } else { 30_000 };
-        let r = ablate_migration_priority::run_jobs(requests, ctx.jobs);
+        let r = ablate_migration_priority::run(requests, ctx.jobs);
         let text = format!(
             "{}\nstrict-background migration keeps foreground latency {:.1} ns lower on average",
             render::ablate_migration_priority(&r).render(),
@@ -249,7 +270,7 @@ experiment!(
     "Ablation: CKE power-down vs DTL consolidation",
     |ctx| {
         let requests = if ctx.tiny { 20_000 } else { 120_000 };
-        let r = ablate_cke_powerdown::run_jobs(requests, ctx.jobs);
+        let r = ablate_cke_powerdown::run(requests, ctx.jobs);
         let text = format!(
             "{}\ninterleaving keeps every rank lukewarm: CKE power-down cannot touch\n\
          what DTL consolidation reclaims unless traffic nearly stops",
@@ -265,7 +286,7 @@ experiment!(
     "Ablation: page policy under the DTL mapping",
     |ctx| {
         let requests = if ctx.tiny { 8_000 } else { 40_000 };
-        let r = ablate_page_policy::run_jobs(requests, ctx.jobs);
+        let r = ablate_page_policy::run(requests, ctx.jobs);
         Ok(RunOutput::new(render::ablate_page_policy(&r).render(), to_json(&r)))
     }
 );
@@ -279,23 +300,8 @@ experiment!(
         let cfg =
             if ctx.tiny { FaultRunConfig::tiny_storm(seed) } else { fault_campaign::paper(seed) };
         let horizon = Picos::from_secs(u64::from(cfg.run.duration_min) * 60).as_ps();
-        let (telemetry, series) = ctx.series_telemetry();
-        if let Some(series) = &series {
-            // Quiet ranks still accrue residency in the windowed series.
-            for c in 0..cfg.run.channels {
-                for rank in 0..cfg.run.ranks_per_channel {
-                    series.ensure_rank(c, rank);
-                }
-            }
-        }
-        let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "fault_campaign");
-        let (r, obs) = fault_campaign::run_jobs_observed(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
-        let text = format!("{}\n{}", render::fault_campaign(&r).render(), render::slo(&obs.slo));
-        let mut out = RunOutput::new(text, to_json(&r));
-        out.horizon_ps = Some(horizon);
-        out.slo = Some(obs.slo);
-        out.timeseries = series.map(|s| s.finish(horizon));
-        Ok(out)
+        let (r, obs) = fault_campaign::run(&cfg, ctx)?;
+        Ok(observed(render::fault_campaign(&r).render(), to_json(&r), horizon, obs.slo, obs.series))
     }
 );
 
@@ -307,34 +313,14 @@ experiment!(
         // Default seed matches the pinned tiny golden (fabric_load_tiny.json).
         let seed = ctx.seed_or(7);
         let cfg = if ctx.tiny { FabricRunConfig::tiny(seed) } else { FabricRunConfig::paper(seed) };
-        let pool_cfg = cfg.pool_config();
-        let horizon = cfg.horizon().as_ps();
-        let (telemetry, series) = ctx.series_telemetry();
-        if let Some(series) = &series {
-            // As in pool_scale: member device d streams through the
-            // channel-offset shim; pre-register every rank so quiet ones
-            // still accrue residency.
-            for d in 0..u32::from(cfg.devices) {
-                for c in 0..pool_cfg.channels {
-                    for rank in 0..pool_cfg.ranks_per_channel {
-                        series.ensure_rank(d * pool_cfg.channels + c, rank);
-                    }
-                }
-            }
-        }
-        let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "fabric_load");
-        let (r, obs) = fabric_load::run_jobs_observed(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
+        let (r, obs) = fabric_load::run(&cfg, ctx)?;
         let text = format!(
             "{}\npacking under one switch saves {:.3} mJ of switch-port energy at the \
-             lightest load\n{}",
+             lightest load",
             render::fabric_load(&r).render(),
-            r.pack_energy_edge_mj(),
-            render::slo(&obs.slo)
+            r.pack_energy_edge_mj()
         );
-        let mut out = RunOutput::new(text, to_json(&r));
-        out.horizon_ps = Some(horizon);
-        out.slo = Some(obs.slo);
-        out.timeseries = series.map(|s| s.finish(horizon));
+        let mut out = observed(text, to_json(&r), cfg.horizon().as_ps(), obs.slo, obs.series);
         if !r.p99_monotone() {
             out.failure =
                 Some("access p99 must rise monotonically with offered fabric load".into());
@@ -355,32 +341,13 @@ experiment!(
         let seed = ctx.seed_or(7);
         let cfg = if ctx.tiny { PoolRunConfig::tiny(seed) } else { PoolRunConfig::paper(seed) };
         let horizon = Picos::from_secs(u64::from(cfg.duration_min) * 60).as_ps();
-        let (telemetry, series) = ctx.series_telemetry();
-        if let Some(series) = &series {
-            // Member device d streams through the channel-offset shim at
-            // channels `d * channels ..`; pre-register every rank so quiet
-            // ones still accrue residency.
-            for d in 0..u32::from(cfg.devices) {
-                for c in 0..cfg.channels {
-                    for rank in 0..cfg.ranks_per_channel {
-                        series.ensure_rank(d * cfg.channels + c, rank);
-                    }
-                }
-            }
-        }
-        let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "pool_scale");
-        let (r, obs) = pool_scale::run_jobs_observed(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
+        let (r, obs) = pool_scale::run(&cfg, ctx)?;
         let text = format!(
-            "{}\npack+coordination saves {} pool energy over spread/no-coordination\n{}",
+            "{}\npack+coordination saves {} pool energy over spread/no-coordination",
             render::pool_scale(&r).render(),
-            crate::pct(r.savings_fraction),
-            render::slo(&obs.slo)
+            crate::pct(r.savings_fraction)
         );
-        let mut out = RunOutput::new(text, to_json(&r));
-        out.horizon_ps = Some(horizon);
-        out.slo = Some(obs.slo);
-        out.timeseries = series.map(|s| s.finish(horizon));
-        Ok(out)
+        Ok(observed(text, to_json(&r), horizon, obs.slo, obs.series))
     }
 );
 
@@ -393,26 +360,14 @@ experiment!(
         let seed = ctx.seed_or(7);
         let cfg = if ctx.tiny { PoolRunConfig::tiny(seed) } else { PoolRunConfig::paper(seed) };
         let horizon = Picos::from_secs(u64::from(cfg.duration_min) * 60).as_ps();
-        let (telemetry, series) = ctx.series_telemetry();
-        if let Some(series) = &series {
-            // As in pool_scale: member device d streams through the
-            // channel-offset shim; pre-register every rank so quiet ones
-            // still accrue residency.
-            for d in 0..u32::from(cfg.devices) {
-                for c in 0..cfg.channels {
-                    for rank in 0..cfg.ranks_per_channel {
-                        series.ensure_rank(d * cfg.channels + c, rank);
-                    }
-                }
-            }
-        }
-        let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "policy_ablation");
-        let (r, obs) = policy_ablation::run_jobs_observed(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
-        let text = format!("{}\n{}", render::policy_ablation(&r).render(), render::slo(&obs.slo));
-        let mut out = RunOutput::new(text, to_json(&r));
-        out.horizon_ps = Some(horizon);
-        out.slo = Some(obs.slo);
-        out.timeseries = series.map(|s| s.finish(horizon));
+        let (r, obs) = policy_ablation::run(&cfg, ctx)?;
+        let mut out = observed(
+            render::policy_ablation(&r).render(),
+            to_json(&r),
+            horizon,
+            obs.slo,
+            obs.series,
+        );
         if r.headline().is_none() {
             out.failure = Some(
                 "no ladder policy beat FixedThreshold on energy at equal-or-better p99".into(),
@@ -429,11 +384,9 @@ experiment!(
     |ctx| {
         let seed = ctx.seed_or(1);
         let cfg = if ctx.tiny { PoolRunConfig::tiny(seed) } else { PoolRunConfig::paper(seed) };
-        let campaigns = ctx
-            .value("--campaigns")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(if ctx.tiny { 6 } else { 24 });
-        let r = pool_failover::run_jobs(&cfg, campaigns, ctx.jobs)?;
+        let campaigns =
+            parse_flag(&ctx.args, "--campaigns")?.unwrap_or(if ctx.tiny { 6 } else { 24 });
+        let r = pool_failover::run(&cfg, campaigns, ctx.jobs)?;
         let mut out = RunOutput::new(render::pool_failover(&r).render(), to_json(&r));
         if r.total_lost_aus > 0 {
             out.failure = Some(format!(
@@ -456,33 +409,21 @@ experiment!(
         } else {
             vm_campaign::VmCampaignConfig::paper(seed)
         };
-        if let Some(n) = ctx.value("--hosts").and_then(|v| v.parse::<u32>().ok()) {
+        if let Some(n) = parse_flag(&ctx.args, "--hosts")? {
             cfg.hosts = n;
         }
-        if let Some(n) = ctx.value("--minutes").and_then(|v| v.parse::<u32>().ok()) {
+        if let Some(n) = parse_flag(&ctx.args, "--minutes")? {
             cfg.duration_min = n;
         }
-        let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "vm_campaign");
-        let (r, obs) =
-            vm_campaign::run_jobs_observed(&cfg, ctx.jobs, ctx.series_width, &heartbeat)?;
-        if let Some(m) = ctx.telemetry.metrics() {
-            // Hosts run their own event spines; export the fleet-merged
-            // queue counters here (the per-host runs carry no registry).
-            crate::export_queue_metrics(m, &obs.queue);
-        }
+        let (r, obs) = vm_campaign::run(&cfg, ctx)?;
         let text = format!(
-            "{}\n{} events across {} hosts; fleet background savings {} vs always-standby\n{}",
+            "{}\n{} events across {} hosts; fleet background savings {} vs always-standby",
             render::vm_campaign(&r).render(),
             r.events_processed,
             r.hosts,
-            crate::pct(r.savings_fraction),
-            render::slo(&obs.slo)
+            crate::pct(r.savings_fraction)
         );
-        let mut out = RunOutput::new(text, to_json(&r));
-        out.horizon_ps = Some(cfg.horizon().as_ps());
-        out.slo = Some(obs.slo);
-        out.timeseries = obs.series;
-        Ok(out)
+        Ok(observed(text, to_json(&r), cfg.horizon().as_ps(), obs.slo, obs.series))
     }
 );
 
@@ -499,13 +440,13 @@ experiment!(
         } else {
             CheckRunConfig::acceptance()
         };
-        if let Some(n) = ctx.value("--seeds").and_then(|v| v.parse::<u64>().ok()) {
+        if let Some(n) = parse_flag(&ctx.args, "--seeds")? {
             cfg.clean_seeds = (0..n).collect();
         }
-        if let Some(n) = ctx.value("--ops").and_then(|v| v.parse::<usize>().ok()) {
+        if let Some(n) = parse_flag(&ctx.args, "--ops")? {
             cfg.ops_per_seed = n;
         }
-        let r = diff_fuzz::run_jobs(&cfg, ctx.jobs);
+        let r = diff_fuzz::run(&cfg, ctx.jobs);
         let mut out = RunOutput::new(render::diff_fuzz(&r).render(), to_json(&r));
         if let Some(ce) = &r.first_counterexample {
             out.failure =
@@ -600,6 +541,15 @@ mod tests {
         assert!(out.text.contains("Table 5"));
         assert!(out.json.is_some());
         assert!(out.failure.is_none());
+    }
+
+    /// Debug builds cross-check every power report against the backend's
+    /// residency projection; the tiny Figure 14 sweep must pass the check.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn tiny_fig14_passes_the_debug_residency_check() {
+        let out = find("fig14").unwrap().run(&RunContext::plain(true)).unwrap();
+        assert!(out.json.is_some());
     }
 
     #[test]

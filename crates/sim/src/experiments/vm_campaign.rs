@@ -8,19 +8,19 @@
 //! events/sec against an externally measured wall clock.
 
 pub use crate::vm_campaign_run::{
-    run_campaign as run, run_campaign_jobs as run_jobs, run_campaign_observed as run_jobs_observed,
-    CampaignObservations, HostOutcome, VmCampaignConfig, VmCampaignResult,
+    run_campaign as run, CampaignObservations, HostOutcome, VmCampaignConfig, VmCampaignResult,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::RunContext;
 
     #[test]
     fn experiment_alias_reaches_the_harness() {
         let mut cfg = VmCampaignConfig::tiny(5);
         cfg.hosts = 2;
-        let r = run(&cfg).unwrap();
+        let (r, _) = run(&cfg, &RunContext::plain(true)).unwrap();
         assert_eq!(r.hosts, 2);
         assert_eq!(r.sample.len(), 2);
     }

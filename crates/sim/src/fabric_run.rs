@@ -141,15 +141,10 @@ pub struct FabricCellResult {
 impl FabricCellResult {
     /// Stable placement label used in tables and CI drift gates.
     pub fn placement_label(&self) -> &'static str {
-        placement_label(self.placement)
-    }
-}
-
-/// Stable label of a placement variant.
-pub fn placement_label(placement: PlacementPolicy) -> &'static str {
-    match placement {
-        PlacementPolicy::PackForPower => "pack_one_switch",
-        PlacementPolicy::SpreadForBandwidth => "spread_switches",
+        match self.placement {
+            PlacementPolicy::PackForPower => "pack_one_switch",
+            PlacementPolicy::SpreadForBandwidth => "spread_switches",
+        }
     }
 }
 
@@ -167,24 +162,16 @@ impl GridDriven for FabricEpoch<'_> {
     }
 }
 
-/// Runs one fabric-load cell.
+/// Runs one fabric-load cell. Fabric port events stream into
+/// `telemetry`; beside the result it returns the out-of-band
+/// [`RunObservations`] (SLO report including the fabric-queue population,
+/// plus event-spine counters).
 ///
 /// # Errors
 ///
 /// Propagates pool/device errors (the harness never over-commits the
 /// pool or routes to unreachable devices).
-pub fn run_fabric_cell(cfg: &FabricRunConfig) -> Result<FabricCellResult, DtlError> {
-    run_fabric_cell_observed(cfg, &Telemetry::disabled()).map(|(r, _)| r)
-}
-
-/// Like [`run_fabric_cell`], with a telemetry handle (fabric port events
-/// stream into it) and the out-of-band [`RunObservations`] (SLO report
-/// including the fabric-queue population, plus event-spine counters).
-///
-/// # Errors
-///
-/// Propagates pool/device errors.
-pub fn run_fabric_cell_observed(
+pub fn run_fabric_cell(
     cfg: &FabricRunConfig,
     telemetry: &Telemetry,
 ) -> Result<(FabricCellResult, RunObservations), DtlError> {
@@ -232,7 +219,7 @@ pub fn run_fabric_cell_observed(
     let end = cfg.horizon();
     pool.check_invariants()?;
     let slo = pool.slo_report();
-    let obs = RunObservations { slo, queue: sim.queue_stats() };
+    let obs = RunObservations { slo, queue: sim.queue_stats(), series: None };
     let access = slo.access.expect("every cell drives accesses");
     let queue = slo.fabric_queue.expect("fabric-backed pool reports port waits");
     let report = pool.interconnect().fabric_report(end).expect("fabric-backed pool");
@@ -269,9 +256,9 @@ mod tests {
         let mut cfg = FabricRunConfig::tiny(3);
         cfg.windows = 6;
         cfg.burst = 8;
-        let (light, _) = run_fabric_cell_observed(&cfg, &Telemetry::disabled()).unwrap();
+        let (light, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
         cfg.burst = 512;
-        let (heavy, _) = run_fabric_cell_observed(&cfg, &Telemetry::disabled()).unwrap();
+        let (heavy, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(light.accesses, 8 * 4 * 6);
         assert!(heavy.access_p99_ps > light.access_p99_ps, "{heavy:?} vs {light:?}");
         assert!(heavy.queue_mean_ps > light.queue_mean_ps);
@@ -282,9 +269,9 @@ mod tests {
     fn packing_under_one_switch_saves_port_energy() {
         let mut cfg = FabricRunConfig::tiny(3);
         cfg.windows = 6;
-        let (pack, _) = run_fabric_cell_observed(&cfg, &Telemetry::disabled()).unwrap();
+        let (pack, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
         cfg.placement = PlacementPolicy::SpreadForBandwidth;
-        let (spread, _) = run_fabric_cell_observed(&cfg, &Telemetry::disabled()).unwrap();
+        let (spread, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
         assert!(pack.ports_used < spread.ports_used, "{pack:?} vs {spread:?}");
         assert!(pack.switch_port_energy_mj < spread.switch_port_energy_mj);
         // Equal per-host traffic must see equal fabric shares either way.
@@ -297,8 +284,8 @@ mod tests {
         let mut cfg = FabricRunConfig::tiny(11);
         cfg.windows = 4;
         cfg.burst = 16;
-        let a = run_fabric_cell(&cfg).unwrap();
-        let b = run_fabric_cell(&cfg).unwrap();
+        let a = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap().0;
+        let b = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap().0;
         assert_eq!(a, b);
     }
 }

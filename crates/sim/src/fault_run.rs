@@ -108,43 +108,22 @@ pub struct FaultRunResult {
     pub latency_penalty_ns: f64,
 }
 
-/// Replays a VM schedule with faults injected along the way.
-///
-/// # Errors
-///
-/// Propagates device errors; an invariant violation after an injected
-/// fault surfaces here as [`DtlError::Internal`].
-pub fn run_faulted(cfg: &FaultRunConfig) -> Result<FaultRunResult, DtlError> {
-    run_faulted_traced(cfg, &Telemetry::disabled())
-}
-
-/// Like [`run_faulted`], but with a live telemetry handle: fault strikes,
-/// health transitions, CXL retries, and power transitions stream into its
-/// sink; an attached metrics registry additionally receives the
+/// Replays a VM schedule with faults injected along the way. Fault
+/// strikes, health transitions, CXL retries, and power transitions stream
+/// into `telemetry`; an attached metrics registry additionally receives the
 /// `fault.released.*` counters and every engine's statistics.
 ///
-/// # Errors
-///
-/// Propagates device errors; an invariant violation after an injected
-/// fault surfaces here as [`DtlError::Internal`].
-pub fn run_faulted_traced(
-    cfg: &FaultRunConfig,
-    telemetry: &Telemetry,
-) -> Result<FaultRunResult, DtlError> {
-    run_faulted_observed(cfg, telemetry).map(|(result, _)| result)
-}
-
-/// Like [`run_faulted_traced`], additionally returning the out-of-band
-/// [`RunObservations`]: link-transaction latency (base round trip plus any
-/// CRC retry penalty), VM admission latency, the migration-drain backlog,
-/// and the event spine's queue counters. The serialized [`FaultRunResult`]
-/// is unchanged, so goldens stay byte-stable.
+/// Beside the result it returns the out-of-band [`RunObservations`]:
+/// link-transaction latency (base round trip plus any CRC retry penalty),
+/// VM admission latency, the migration-drain backlog, and the event
+/// spine's queue counters. The serialized [`FaultRunResult`] carries none
+/// of them, so goldens stay byte-stable.
 ///
 /// # Errors
 ///
 /// Propagates device errors; an invariant violation after an injected
 /// fault surfaces here as [`DtlError::Internal`].
-pub fn run_faulted_observed(
+pub fn run_faulted(
     cfg: &FaultRunConfig,
     telemetry: &Telemetry,
 ) -> Result<(FaultRunResult, RunObservations), DtlError> {
@@ -248,6 +227,7 @@ pub fn run_faulted_observed(
             fabric_queue: None,
         },
         queue: sim.queue_stats(),
+        series: None,
     };
     if let Some(m) = telemetry.metrics() {
         dev.export_metrics(m);
@@ -380,10 +360,14 @@ fn record_epoch_traffic(
 mod tests {
     use super::*;
 
+    fn untraced(cfg: &FaultRunConfig) -> FaultRunResult {
+        run_faulted(cfg, &Telemetry::disabled()).unwrap().0
+    }
+
     #[test]
     fn fault_free_run_matches_quiet_plan() {
         let cfg = FaultRunConfig::fault_free(7, PowerDownRunConfig::tiny(7, true));
-        let r = run_faulted(&cfg).unwrap();
+        let r = untraced(&cfg);
         assert_eq!(r.faults_injected, 0);
         assert_eq!(r.errors, HealthStats::default());
         assert_eq!(r.ranks_retired, 0);
@@ -395,7 +379,7 @@ mod tests {
 
     #[test]
     fn storm_campaign_retires_the_victim() {
-        let r = run_faulted(&FaultRunConfig::tiny_storm(7)).unwrap();
+        let r = untraced(&FaultRunConfig::tiny_storm(7));
         assert!(r.faults_injected > 0);
         assert!(r.errors.retire_trips >= 1, "the storm trips retirement");
         assert_eq!(r.auto_retirements, 1, "one victim rank auto-retired");
@@ -407,16 +391,20 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_faulted(&FaultRunConfig::tiny_storm(11)).unwrap();
-        let b = run_faulted(&FaultRunConfig::tiny_storm(11)).unwrap();
+        let a = untraced(&FaultRunConfig::tiny_storm(11));
+        let b = untraced(&FaultRunConfig::tiny_storm(11));
         assert_eq!(a, b);
     }
 
     #[test]
     fn observed_run_reports_slo_and_queue_counters() {
         let cfg = FaultRunConfig::tiny_storm(7);
-        let (r, obs) = run_faulted_observed(&cfg, &Telemetry::disabled()).unwrap();
-        assert_eq!(r, run_faulted(&cfg).unwrap(), "observability must not change the result");
+        let sink = std::sync::Arc::new(dtl_telemetry::BufferSink::new());
+        let traced =
+            Telemetry::new(sink.clone() as std::sync::Arc<dyn dtl_telemetry::TelemetrySink>);
+        let (r, obs) = run_faulted(&cfg, &traced).unwrap();
+        assert!(!sink.take().is_empty(), "the traced replay streams events");
+        assert_eq!(r, untraced(&cfg), "tracing must not change the result");
         let base = dtl_cxl::LinkModel::cxl().round_trip().as_ps();
         let access = obs.slo.access.expect("CRC bursts drive link transactions");
         assert!(access.count >= 1);

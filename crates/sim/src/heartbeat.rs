@@ -44,16 +44,6 @@ impl Heartbeat {
         }
     }
 
-    /// A silent heartbeat (what library callers and tests pass).
-    pub fn disabled() -> Self {
-        Self::new(false, "")
-    }
-
-    /// Whether ticks print anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one completed work unit of `total` and prints a progress
     /// line when the rate limiter allows. Callable from worker threads.
     pub fn tick(&self, total: u64) {
@@ -82,8 +72,7 @@ mod tests {
 
     #[test]
     fn disabled_heartbeat_counts_nothing_and_prints_nothing() {
-        let hb = Heartbeat::disabled();
-        assert!(!hb.enabled());
+        let hb = Heartbeat::new(false, "");
         hb.tick(10);
         assert_eq!(hb.done.load(Ordering::Relaxed), 0, "disabled tick is a pure no-op");
     }

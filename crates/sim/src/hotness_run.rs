@@ -114,45 +114,25 @@ pub struct HotnessRunResult {
 }
 
 /// Replays a mixed trace against a DTL device with only the hotness
-/// mechanism active.
+/// mechanism active. The replay streams `SegmentMigrated` / `TspAdvance` /
+/// `SelfRefreshSwap` / `RankPowerTransition` events into `telemetry` and,
+/// if a metrics registry is attached, exports every engine's statistics
+/// there at the end.
 ///
 /// # Errors
 ///
 /// Propagates device errors (which indicate harness or device bugs).
-pub fn run_hotness(cfg: &HotnessRunConfig) -> Result<HotnessRunResult, DtlError> {
-    run_hotness_instrumented(cfg, 1.0, &Telemetry::disabled())
-}
-
-/// Like [`run_hotness`], but with a live telemetry handle: the replay
-/// streams `SegmentMigrated` / `TspAdvance` / `SelfRefreshSwap` /
-/// `RankPowerTransition` events into its sink and, if a metrics registry is
-/// attached, exports every engine's statistics there at the end.
-///
-/// # Errors
-///
-/// Propagates device errors (which indicate harness or device bugs).
-pub fn run_hotness_traced(
+pub fn run_hotness(
     cfg: &HotnessRunConfig,
     telemetry: &Telemetry,
 ) -> Result<HotnessRunResult, DtlError> {
-    run_hotness_instrumented(cfg, 1.0, telemetry)
+    run_hotness_scaled(cfg, 1.0, telemetry)
 }
 
 /// Like [`run_hotness`], but scales the profiling idle threshold by
 /// `factor` relative to the paper's 50 ms default (for the threshold
 /// ablation study).
-///
-/// # Errors
-///
-/// Propagates device errors (which indicate harness or device bugs).
-pub fn run_hotness_with_threshold_factor(
-    cfg: &HotnessRunConfig,
-    factor: f64,
-) -> Result<HotnessRunResult, DtlError> {
-    run_hotness_instrumented(cfg, factor, &Telemetry::disabled())
-}
-
-fn run_hotness_instrumented(
+pub(crate) fn run_hotness_scaled(
     cfg: &HotnessRunConfig,
     factor: f64,
     telemetry: &Telemetry,
@@ -295,8 +275,8 @@ fn run_hotness_instrumented(
 pub fn hotness_savings(
     cfg: &HotnessRunConfig,
 ) -> Result<(HotnessRunResult, HotnessRunResult, f64), DtlError> {
-    let off = run_hotness(&HotnessRunConfig { hotness: false, ..*cfg })?;
-    let on = run_hotness(&HotnessRunConfig { hotness: true, ..*cfg })?;
+    let off = run_hotness(&HotnessRunConfig { hotness: false, ..*cfg }, &Telemetry::disabled())?;
+    let on = run_hotness(&HotnessRunConfig { hotness: true, ..*cfg }, &Telemetry::disabled())?;
     let saving = 1.0 - on.stable_power_mw / off.stable_power_mw;
     Ok((off, on, saving))
 }
@@ -485,8 +465,8 @@ mod tests {
     fn nearly_full_device_struggles_to_self_refresh() {
         let loose = HotnessRunConfig::tiny(5, true);
         let tight = HotnessRunConfig { allocated_fraction: 0.95, ..loose };
-        let l = run_hotness(&loose).unwrap();
-        let t = run_hotness(&tight).unwrap();
+        let l = run_hotness(&loose, &Telemetry::disabled()).unwrap();
+        let t = run_hotness(&tight, &Telemetry::disabled()).unwrap();
         // The paper's Figure 14 contrast: scarce unallocated capacity makes
         // cold collection harder. Our workload model includes dormant
         // (allocated-but-cold) regions, which soften the paper's cliff —
@@ -503,8 +483,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_hotness(&HotnessRunConfig::tiny(9, true)).unwrap();
-        let b = run_hotness(&HotnessRunConfig::tiny(9, true)).unwrap();
+        let a = run_hotness(&HotnessRunConfig::tiny(9, true), &Telemetry::disabled()).unwrap();
+        let b = run_hotness(&HotnessRunConfig::tiny(9, true), &Telemetry::disabled()).unwrap();
         assert_eq!(a.total_energy_mj, b.total_energy_mj);
         assert_eq!(a.sr_entries, b.sr_entries);
     }

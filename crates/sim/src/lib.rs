@@ -23,38 +23,31 @@ pub mod render;
 mod report;
 mod vm_campaign_run;
 
-pub use check_run::{run_checks, run_checks_jobs, CheckRunConfig, CheckRunResult, SeedResult};
-pub use fabric_run::{
-    placement_label, run_fabric_cell, run_fabric_cell_observed, FabricCellResult, FabricRunConfig,
-};
-pub use fault_run::{
-    run_faulted, run_faulted_observed, run_faulted_traced, FaultRunConfig, FaultRunResult,
-};
+pub use check_run::{run_checks, CheckRunConfig, CheckRunResult, SeedResult};
+pub use fabric_run::{run_fabric_cell, FabricCellResult, FabricRunConfig};
+pub use fault_run::{run_faulted, FaultRunConfig, FaultRunResult};
 pub use heartbeat::Heartbeat;
 pub use hotness_run::{
-    hotness_savings, run_hotness, run_hotness_traced, run_hotness_with_threshold_factor,
-    run_reentry, HotnessRunConfig, HotnessRunResult, ReentryResult,
+    hotness_savings, run_hotness, run_reentry, HotnessRunConfig, HotnessRunResult, ReentryResult,
 };
 pub use obs::{export_queue_metrics, RunObservations};
 pub use perf::PerfModel;
 pub use pool_run::{
-    run_pool, run_pool_faulted, run_pool_faulted_traced, run_pool_observed, run_pool_traced,
-    PoolFaultRunConfig, PoolFaultRunResult, PoolIntervalSample, PoolRunConfig, PoolRunResult,
+    run_pool, run_pool_faulted, PoolFaultRunConfig, PoolFaultRunResult, PoolIntervalSample,
+    PoolRunConfig, PoolRunResult,
 };
-pub use powerdown_run::{
-    run_schedule, run_schedule_traced, IntervalSample, PowerDownRunConfig, PowerDownRunResult,
-};
+pub use powerdown_run::{run_schedule, IntervalSample, PowerDownRunConfig, PowerDownRunResult};
 pub use report::{f1, f2, f3, metrics_section, pct, to_json, Table};
 pub use vm_campaign_run::{
-    run_campaign, run_campaign_jobs, run_campaign_observed, CampaignObservations, HostOutcome,
-    VmCampaignConfig, VmCampaignResult,
+    run_campaign, CampaignObservations, HostOutcome, VmCampaignConfig, VmCampaignResult,
 };
 
 /// Debug-build cross-check that the two residency sources agree: the
 /// backend's [`PowerReport`](dtl_dram::PowerReport) and the per-rank
 /// projection behind [`DeviceSnapshot`](dtl_core::DeviceSnapshot) /
-/// telemetry must be the *same* numbers, because both are integrated by
-/// the backend's `EnergyAccount`s. Compiled out of release runs.
+/// telemetry, projected to the report's instant, must be the *same*
+/// numbers, because both are integrated by the backend's `EnergyAccount`s.
+/// Compiled out of release runs.
 pub fn assert_residency_consistency<B: dtl_core::MemoryBackend>(
     dev: &dtl_core::DtlDevice<B>,
     report: &dtl_dram::PowerReport,
@@ -62,7 +55,7 @@ pub fn assert_residency_consistency<B: dtl_core::MemoryBackend>(
     if cfg!(debug_assertions) {
         for (c, ch) in report.residency.iter().enumerate() {
             for (r, rank_res) in ch.iter().enumerate() {
-                let projected = dev.backend().rank_residency(c as u32, r as u32);
+                let projected = dev.backend().rank_residency(c as u32, r as u32, report.at);
                 assert_eq!(
                     *rank_res, projected,
                     "residency mismatch on ch{c}/rk{r}: report vs backend projection"

@@ -3,24 +3,29 @@
 //!
 //! The serialized results (`PoolRunResult`, `FaultRunResult`,
 //! `VmCampaignResult`, …) are pinned by goldens and replay tooling, so new
-//! observability never lands inside them. Instead each campaign harness
-//! grows an `*_observed` variant returning its plain result plus a
-//! [`RunObservations`]: the SLO report and the event-spine queue counters,
-//! which the experiment registry renders and exports without touching a
+//! observability never lands inside them. Every harness has one entry
+//! point: a replay takes a `&Telemetry` and, where it measures SLOs,
+//! returns its result together with a [`RunObservations`]; a sweep that
+//! only shards work takes `jobs`, and a sweep that observes takes the
+//! registry's `RunContext` and returns the observations of its headline
+//! replay. The registry renders and exports them without touching a
 //! golden byte.
 
 use dtl_event::QueueStats;
-use dtl_telemetry::{MetricsRegistry, SloReport};
+use dtl_telemetry::{MetricsRegistry, SloReport, TimeSeries};
 
 /// What a campaign replay observed about itself, out-of-band from its
 /// serialized result.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RunObservations {
     /// Latency/backlog SLO populations the harness instruments.
     pub slo: SloReport,
     /// Event-spine queue counters, summed over every simulation the run
     /// drove (per-epoch spines, per-host spines).
     pub queue: QueueStats,
+    /// The windowed time series, when the sweep's context requested one
+    /// (`RunContext::series_width`); replays leave it `None`.
+    pub series: Option<TimeSeries>,
 }
 
 /// Dumps event-spine queue counters into a metrics registry under the

@@ -132,26 +132,16 @@ impl PowerDownRunResult {
     }
 }
 
-/// Replays a VM schedule against a DTL device.
+/// Replays a VM schedule against a DTL device. The replay streams
+/// `VmAlloc` / `VmDealloc` / `SegmentMigrated` / `RankPowerTransition`
+/// events into `telemetry` and, if a metrics registry is attached, exports
+/// every engine's statistics there at the end.
 ///
 /// # Errors
 ///
 /// Propagates device errors (these indicate bugs — the harness never
 /// over-commits the device).
-pub fn run_schedule(cfg: &PowerDownRunConfig) -> Result<PowerDownRunResult, DtlError> {
-    run_schedule_traced(cfg, &Telemetry::disabled())
-}
-
-/// Like [`run_schedule`], but with a live telemetry handle: the replay
-/// streams `VmAlloc` / `VmDealloc` / `SegmentMigrated` /
-/// `RankPowerTransition` events into its sink and, if a metrics registry
-/// is attached, exports every engine's statistics there at the end.
-///
-/// # Errors
-///
-/// Propagates device errors (these indicate bugs — the harness never
-/// over-commits the device).
-pub fn run_schedule_traced(
+pub fn run_schedule(
     cfg: &PowerDownRunConfig,
     telemetry: &Telemetry,
 ) -> Result<PowerDownRunResult, DtlError> {
@@ -313,8 +303,9 @@ mod tests {
 
     #[test]
     fn baseline_vs_powerdown_energy() {
-        let base = run_schedule(&PowerDownRunConfig::tiny(7, false)).unwrap();
-        let dtl = run_schedule(&PowerDownRunConfig::tiny(7, true)).unwrap();
+        let base =
+            run_schedule(&PowerDownRunConfig::tiny(7, false), &Telemetry::disabled()).unwrap();
+        let dtl = run_schedule(&PowerDownRunConfig::tiny(7, true), &Telemetry::disabled()).unwrap();
         assert_eq!(base.vms_allocated, dtl.vms_allocated, "same schedule");
         assert!(dtl.groups_powered_down > 0, "power-down must trigger");
         let saving = 1.0 - dtl.total_energy_mj / base.total_energy_mj;
@@ -329,7 +320,7 @@ mod tests {
     #[test]
     fn intervals_cover_schedule() {
         let cfg = PowerDownRunConfig::tiny(3, true);
-        let r = run_schedule(&cfg).unwrap();
+        let r = run_schedule(&cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(r.intervals.len(), (cfg.duration_min / 5) as usize);
         assert!(r.intervals.iter().all(|i| i.power_mw > 0.0));
         // Active ranks never exceed the device size.
@@ -340,7 +331,7 @@ mod tests {
     #[test]
     fn baseline_keeps_all_ranks_active() {
         let cfg = PowerDownRunConfig::tiny(3, false);
-        let r = run_schedule(&cfg).unwrap();
+        let r = run_schedule(&cfg, &Telemetry::disabled()).unwrap();
         let max = cfg.channels * cfg.ranks_per_channel;
         assert!(r.intervals.iter().all(|i| i.active_ranks == max));
         assert_eq!(r.groups_powered_down, 0);
@@ -348,8 +339,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_schedule(&PowerDownRunConfig::tiny(11, true)).unwrap();
-        let b = run_schedule(&PowerDownRunConfig::tiny(11, true)).unwrap();
+        let a = run_schedule(&PowerDownRunConfig::tiny(11, true), &Telemetry::disabled()).unwrap();
+        let b = run_schedule(&PowerDownRunConfig::tiny(11, true), &Telemetry::disabled()).unwrap();
         assert_eq!(a.total_energy_mj, b.total_energy_mj);
         assert_eq!(a.groups_powered_down, b.groups_powered_down);
     }

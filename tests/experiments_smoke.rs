@@ -5,7 +5,7 @@
 
 use dtl_sim::experiments::{
     fault_campaign, fig01, fig02, fig05, fig09, fig10, fig11, fig14, fig15, sec6_1, tab04, tab05,
-    tab06,
+    tab06, RunContext,
 };
 use dtl_sim::{FaultRunConfig, HotnessRunConfig};
 use dtl_trace::WorkloadKind;
@@ -19,21 +19,21 @@ fn fig01_average_usage_below_half() {
 
 #[test]
 fn fig02_rank_reduction_costs_single_digits() {
-    let r = fig02::run(5_000, &[WorkloadKind::DataServing, WorkloadKind::MediaStreaming]);
+    let r = fig02::run(5_000, &[WorkloadKind::DataServing, WorkloadKind::MediaStreaming], 1);
     assert!(r.mean_slowdown_at_min_ranks >= 1.0);
     assert!(r.mean_slowdown_at_min_ranks < 1.06, "{}", r.mean_slowdown_at_min_ranks);
 }
 
 #[test]
 fn fig05_interleaving_cost_small_and_diluted_by_cxl() {
-    let r = fig05::run(5_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch]);
+    let r = fig05::run(5_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch], 1);
     assert!(r.local_mean() < 1.08);
     assert!(r.cxl_mean() <= r.local_mean() + 1e-9);
 }
 
 #[test]
 fn fig09_mixes_dominated_by_large_strides() {
-    let r = fig09::run(1, 20_000, 64);
+    let r = fig09::run(1, 20_000, 64, 1);
     let mix8 = r.rows.last().unwrap();
     assert!(mix8.at_least_4m > 0.75, "{}", mix8.at_least_4m);
 }
@@ -61,9 +61,9 @@ fn fig14_and_fig15_shapes() {
         ..HotnessRunConfig::tiny(5, true)
     };
     let points = [("loose", 4u32, 0.6)];
-    let f14 = fig14::run(&base, &points).unwrap();
+    let f14 = fig14::run(&base, &points, 1).unwrap();
     assert!(f14.rows[0].additional_saving > 0.0, "{:?}", f14.rows[0]);
-    let f15 = fig15::run(&base, 8, &[("6rk", 6, 0.72)]).unwrap();
+    let f15 = fig15::run(&base, 8, &[("6rk", 6, 0.72)], 1).unwrap();
     let row = &f15.rows[0];
     // Two of eight ranks in MPSM: (1 - 0.068) * 2/8 = 23.3%.
     assert!((row.powerdown_saving - 0.233).abs() < 0.01);
@@ -72,7 +72,8 @@ fn fig14_and_fig15_shapes() {
 
 #[test]
 fn fault_campaign_reports_capacity_energy_and_latency_cost() {
-    let r = fault_campaign::run(&FaultRunConfig::tiny_storm(7)).unwrap();
+    let (r, _) =
+        fault_campaign::run(&FaultRunConfig::tiny_storm(7), &RunContext::plain(true)).unwrap();
     // The error storm retires its victim rank; the pool loses exactly one
     // rank of capacity and reports the loss.
     assert_eq!(r.faulted.ranks_retired, 1);
@@ -91,7 +92,7 @@ fn fault_campaign_reports_capacity_energy_and_latency_cost() {
 
 #[test]
 fn tables_and_amat() {
-    let t4 = tab04::run(1, 20_000);
+    let t4 = tab04::run(1, 20_000, 1);
     assert!(t4.max_relative_error < 0.1);
     let t5 = tab05::run();
     assert!(t5.columns[1].metadata_fraction < 1e-5);

@@ -1,5 +1,6 @@
 //! Golden-file regression tests: the tiny fig12 (power-down), fig14
-//! (hotness self-refresh), pool_scale, and pool_failover runs are fully
+//! (hotness self-refresh), pool_scale, policy_ablation, pool_failover,
+//! fabric_load, fault_campaign, and vm_campaign runs are fully
 //! deterministic, so their JSON outputs are pinned under `results/golden/`
 //! and compared field by field with an explicit numeric tolerance.
 //!
@@ -14,8 +15,14 @@
 
 use std::path::{Path, PathBuf};
 
-use dtl_sim::experiments::{fabric_load, fig12, fig14, policy_ablation, pool_failover, pool_scale};
-use dtl_sim::{to_json, FabricRunConfig, HotnessRunConfig, PoolRunConfig, PowerDownRunConfig};
+use dtl_sim::experiments::{
+    fabric_load, fault_campaign, fig12, fig14, policy_ablation, pool_failover, pool_scale,
+    vm_campaign, RunContext,
+};
+use dtl_sim::{
+    to_json, FabricRunConfig, FaultRunConfig, HotnessRunConfig, PoolRunConfig, PowerDownRunConfig,
+    VmCampaignConfig,
+};
 use serde::Value;
 
 /// Relative tolerance for float comparisons. The runs are deterministic;
@@ -117,19 +124,22 @@ fn check_golden(name: &str, json: &str) {
 
 #[test]
 fn fig12_tiny_matches_golden() {
-    let r = fig12::run(&PowerDownRunConfig::tiny(7, true), (0.014, 0.0018)).expect("fig12 tiny");
+    let cfg = PowerDownRunConfig::tiny(7, true);
+    let r = fig12::run(&cfg, (0.014, 0.0018), &RunContext::plain(true)).expect("fig12 tiny");
     check_golden("fig12_tiny", &to_json(&r));
 }
 
 #[test]
 fn pool_scale_tiny_matches_golden() {
-    let r = pool_scale::run(&PoolRunConfig::tiny(7)).expect("pool_scale tiny");
+    let (r, _) = pool_scale::run(&PoolRunConfig::tiny(7), &RunContext::plain(true))
+        .expect("pool_scale tiny");
     check_golden("pool_scale_tiny", &to_json(&r));
 }
 
 #[test]
 fn policy_ablation_tiny_matches_golden() {
-    let r = policy_ablation::run(&PoolRunConfig::tiny(7)).expect("policy_ablation tiny");
+    let (r, _) = policy_ablation::run(&PoolRunConfig::tiny(7), &RunContext::plain(true))
+        .expect("policy_ablation tiny");
     check_golden("policy_ablation_tiny", &to_json(&r));
 }
 
@@ -138,13 +148,14 @@ fn pool_failover_tiny_matches_golden() {
     // Two retirement campaigns: enough to pin the exact-time fault lane
     // (device retirements, evacuations, CRC bursts) without making the
     // golden run the slowest in the suite.
-    let r = pool_failover::run(&PoolRunConfig::tiny(7), 2).expect("pool_failover tiny");
+    let r = pool_failover::run(&PoolRunConfig::tiny(7), 2, 1).expect("pool_failover tiny");
     check_golden("pool_failover_tiny", &to_json(&r));
 }
 
 #[test]
 fn fabric_load_tiny_matches_golden() {
-    let r = fabric_load::run(&FabricRunConfig::tiny(7)).expect("fabric_load tiny");
+    let (r, _) = fabric_load::run(&FabricRunConfig::tiny(7), &RunContext::plain(true))
+        .expect("fabric_load tiny");
     assert!(r.p99_monotone(), "access p99 must rise with offered load");
     assert!(r.pack_energy_edge_mj() > 0.0, "pack must beat spread on switch-port energy");
     check_golden("fabric_load_tiny", &to_json(&r));
@@ -158,6 +169,20 @@ fn fig14_tiny_matches_golden() {
         channels: 2,
         ..HotnessRunConfig::tiny(5, true)
     };
-    let r = fig14::run(&base, &[("loose", 4, 0.55), ("tight", 4, 0.95)]).expect("fig14 tiny");
+    let r = fig14::run(&base, &[("loose", 4, 0.55), ("tight", 4, 0.95)], 1).expect("fig14 tiny");
     check_golden("fig14_tiny", &to_json(&r));
+}
+
+#[test]
+fn fault_campaign_tiny_matches_golden() {
+    let (r, _) = fault_campaign::run(&FaultRunConfig::tiny_storm(7), &RunContext::plain(true))
+        .expect("fault_campaign tiny");
+    check_golden("fault_campaign_tiny", &to_json(&r));
+}
+
+#[test]
+fn vm_campaign_tiny_matches_golden() {
+    let cfg = VmCampaignConfig { hosts: 2, duration_min: 1440, ..VmCampaignConfig::tiny(7) };
+    let (r, _) = vm_campaign::run(&cfg, &RunContext::plain(true)).expect("vm_campaign tiny");
+    check_golden("vm_campaign_tiny", &to_json(&r));
 }

@@ -18,20 +18,21 @@ use dtl_sim::{
 };
 use dtl_telemetry::{BufferSink, Telemetry, TIMESERIES_CSV_HEADER};
 
-/// A telemetry handle recording into a fresh unbounded buffer.
-fn traced() -> (Telemetry, Arc<BufferSink>) {
+/// A tiny context at `jobs` workers whose telemetry records into a fresh
+/// unbounded buffer.
+fn traced(jobs: usize) -> (RunContext, Arc<BufferSink>) {
     let sink = Arc::new(BufferSink::new());
     let telemetry = Telemetry::new(sink.clone() as Arc<dyn dtl_telemetry::TelemetrySink>);
-    (telemetry, sink)
+    (RunContext { jobs, telemetry, ..RunContext::plain(true) }, sink)
 }
 
 #[test]
 fn fig12_jobs4_is_bit_identical_to_jobs1_including_the_trace() {
     let cfg = PowerDownRunConfig::tiny(7, true);
-    let (t1, s1) = traced();
-    let (t4, s4) = traced();
-    let r1 = fig12::run_jobs_traced(&cfg, (0.014, 0.0018), &t1, 1).unwrap();
-    let r4 = fig12::run_jobs_traced(&cfg, (0.014, 0.0018), &t4, 4).unwrap();
+    let (c1, s1) = traced(1);
+    let (c4, s4) = traced(4);
+    let r1 = fig12::run(&cfg, (0.014, 0.0018), &c1).unwrap();
+    let r4 = fig12::run(&cfg, (0.014, 0.0018), &c4).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "fig12 JSON must not depend on --jobs");
     let (e1, e4) = (s1.take(), s4.take());
     assert!(!e1.is_empty(), "the treatment replay must emit events");
@@ -48,18 +49,18 @@ fn fig14_jobs4_is_bit_identical_to_jobs1() {
         ..HotnessRunConfig::tiny(5, true)
     };
     let points = [("loose", 4u32, 0.55f64), ("tight", 4, 0.95)];
-    let r1 = fig14::run_jobs(&base, &points, 1).unwrap();
-    let r4 = fig14::run_jobs(&base, &points, 4).unwrap();
+    let r1 = fig14::run(&base, &points, 1).unwrap();
+    let r4 = fig14::run(&base, &points, 4).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "fig14 JSON must not depend on --jobs");
 }
 
 #[test]
 fn fault_campaign_jobs4_is_bit_identical_to_jobs1_including_the_trace() {
     let cfg = FaultRunConfig::tiny_storm(3);
-    let (t1, s1) = traced();
-    let (t4, s4) = traced();
-    let r1 = fault_campaign::run_jobs_traced(&cfg, &t1, 1).unwrap();
-    let r4 = fault_campaign::run_jobs_traced(&cfg, &t4, 4).unwrap();
+    let (c1, s1) = traced(1);
+    let (c4, s4) = traced(4);
+    let (r1, _) = fault_campaign::run(&cfg, &c1).unwrap();
+    let (r4, _) = fault_campaign::run(&cfg, &c4).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "fault_campaign JSON must not depend on --jobs");
     assert_eq!(s1.take(), s4.take(), "fault_campaign telemetry must not depend on --jobs");
 }
@@ -67,10 +68,10 @@ fn fault_campaign_jobs4_is_bit_identical_to_jobs1_including_the_trace() {
 #[test]
 fn pool_scale_jobs4_is_bit_identical_to_jobs1_including_the_trace() {
     let cfg = PoolRunConfig::tiny(7);
-    let (t1, s1) = traced();
-    let (t4, s4) = traced();
-    let r1 = pool_scale::run_jobs_traced(&cfg, &t1, 1).unwrap();
-    let r4 = pool_scale::run_jobs_traced(&cfg, &t4, 4).unwrap();
+    let (c1, s1) = traced(1);
+    let (c4, s4) = traced(4);
+    let (r1, _) = pool_scale::run(&cfg, &c1).unwrap();
+    let (r4, _) = pool_scale::run(&cfg, &c4).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "pool_scale JSON must not depend on --jobs");
     let (e1, e4) = (s1.take(), s4.take());
     assert!(!e1.is_empty(), "the headline pool replay must emit events");
@@ -80,23 +81,23 @@ fn pool_scale_jobs4_is_bit_identical_to_jobs1_including_the_trace() {
 #[test]
 fn pool_failover_jobs4_is_bit_identical_to_jobs1() {
     let base = PoolRunConfig::tiny(3);
-    let r1 = pool_failover::run_jobs(&base, 3, 1).unwrap();
-    let r4 = pool_failover::run_jobs(&base, 3, 4).unwrap();
+    let r1 = pool_failover::run(&base, 3, 1).unwrap();
+    let r4 = pool_failover::run(&base, 3, 4).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "pool_failover JSON must not depend on --jobs");
 }
 
 #[test]
 fn diff_fuzz_jobs4_is_bit_identical_to_jobs1() {
     let cfg = CheckRunConfig::smoke();
-    let r1 = diff_fuzz::run_jobs(&cfg, 1);
-    let r4 = diff_fuzz::run_jobs(&cfg, 4);
+    let r1 = diff_fuzz::run(&cfg, 1);
+    let r4 = diff_fuzz::run(&cfg, 4);
     assert_eq!(to_json(&r1), to_json(&r4), "diff_fuzz JSON must not depend on --jobs");
 }
 
 #[test]
 fn jobs_beyond_unit_count_still_match() {
     let cfg = CheckRunConfig::smoke();
-    assert_eq!(to_json(&diff_fuzz::run_jobs(&cfg, 1)), to_json(&diff_fuzz::run_jobs(&cfg, 64)));
+    assert_eq!(to_json(&diff_fuzz::run(&cfg, 1)), to_json(&diff_fuzz::run(&cfg, 64)));
 }
 
 /// A tiny registry context with 1-hour time-series windows.
