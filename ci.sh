@@ -30,10 +30,11 @@ cargo test -q -p dtl-fabric
 
 echo "== smoke suite on the parallel path (--jobs 2) =="
 cargo build --release -q -p dtl-bench --bin diff_fuzz --bin fault_campaign --bin pool_scale \
-    --bin policy_ablation --bin vm_campaign --bin fabric_load --bin all
+    --bin policy_ablation --bin vm_campaign --bin fabric_load --bin pool_failover --bin all
 timeout 30 ./target/release/diff_fuzz --smoke --jobs 2
 timeout 60 ./target/release/fault_campaign --tiny --jobs 2
 timeout 30 ./target/release/pool_scale --tiny --jobs 2
+timeout 30 ./target/release/pool_failover --tiny --jobs 2
 timeout 30 ./target/release/policy_ablation --tiny --jobs 2 > /tmp/dtl_ci_policy.txt
 timeout 30 ./target/release/vm_campaign --tiny --jobs 2
 timeout 30 ./target/release/fabric_load --tiny --jobs 2 > /tmp/dtl_ci_fabric.txt

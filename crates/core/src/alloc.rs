@@ -6,12 +6,84 @@
 //! has priority, which packs data into few ranks and keeps the rest
 //! drainable for power-down.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{Dsn, SegmentGeometry, SegmentLocation};
 use crate::error::DtlError;
+
+/// The allocated within-rank slots of one rank: a bit set indexed by slot,
+/// grown on demand, with its population kept beside it.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct SlotSet {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl SlotSet {
+    fn len(&self) -> u64 {
+        self.len
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// One past the highest slot in the set (0 when empty).
+    fn end(&self) -> u64 {
+        self.words
+            .iter()
+            .rposition(|w| *w != 0)
+            .map_or(0, |i| (i as u64 + 1) * 64 - u64::from(self.words[i].leading_zeros()))
+    }
+
+    fn contains(&self, slot: u64) -> bool {
+        self.words.get((slot / 64) as usize).is_some_and(|w| w & (1 << (slot % 64)) != 0)
+    }
+
+    /// Adds `slot`; returns whether it was absent. A slot past the rank
+    /// size is stored too, so that [`SegmentAllocator::check_consistency`]
+    /// reports it.
+    fn insert(&mut self, slot: u64) -> bool {
+        let i = (slot / 64) as usize;
+        if self.words.len() <= i {
+            self.words.resize(i + 1, 0);
+        }
+        let bit = 1 << (slot % 64);
+        let absent = self.words[i] & bit == 0;
+        self.words[i] |= bit;
+        self.len += u64::from(absent);
+        absent
+    }
+
+    /// Removes `slot`; returns whether it was present.
+    fn remove(&mut self, slot: u64) -> bool {
+        let Some(w) = self.words.get_mut((slot / 64) as usize) else {
+            return false;
+        };
+        let bit = 1 << (slot % 64);
+        let present = *w & bit != 0;
+        *w &= !bit;
+        self.len -= u64::from(present);
+        present
+    }
+
+    /// The slots in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros();
+                (rest != 0).then(|| {
+                    rest &= rest - 1;
+                    i as u64 * 64 + u64::from(bit)
+                })
+            })
+        })
+    }
+}
 
 /// Free/allocated segment bookkeeping per (channel, rank).
 ///
@@ -33,9 +105,8 @@ pub struct SegmentAllocator {
     geo: SegmentGeometry,
     /// Free within-rank slots, per `[channel][rank]`.
     free: Vec<Vec<VecDeque<u64>>>,
-    /// Allocated within-rank slots, per `[channel][rank]` (ordered for
-    /// deterministic iteration).
-    allocated: Vec<Vec<BTreeSet<u64>>>,
+    /// Allocated within-rank slots, per `[channel][rank]`.
+    allocated: Vec<Vec<SlotSet>>,
     /// Rank availability for allocation: `false` while powered down.
     active: Vec<Vec<bool>>,
 }
@@ -52,7 +123,7 @@ impl SegmentAllocator {
             let mut ac = Vec::with_capacity(geo.ranks_per_channel as usize);
             for _ in 0..geo.ranks_per_channel {
                 fr.push((0..geo.segs_per_rank).collect::<VecDeque<u64>>());
-                al.push(BTreeSet::new());
+                al.push(SlotSet::default());
                 ac.push(true);
             }
             free.push(fr);
@@ -79,7 +150,7 @@ impl SegmentAllocator {
 
     /// Allocated segment count in a rank.
     pub fn allocated_in_rank(&self, channel: u32, rank: u32) -> u64 {
-        self.allocated[channel as usize][rank as usize].len() as u64
+        self.allocated[channel as usize][rank as usize].len()
     }
 
     /// Free segment count in a rank.
@@ -102,7 +173,7 @@ impl SegmentAllocator {
 
     /// Iterates the allocated within-rank slots of a rank (ascending).
     pub fn allocated_slots(&self, channel: u32, rank: u32) -> impl Iterator<Item = u64> + '_ {
-        self.allocated[channel as usize][rank as usize].iter().copied()
+        self.allocated[channel as usize][rank as usize].iter()
     }
 
     /// The active rank with the fewest allocated segments in a channel
@@ -174,7 +245,7 @@ impl SegmentAllocator {
         for d in dsns {
             let loc = self.geo.location(*d);
             let set = &mut self.allocated[loc.channel as usize][loc.rank as usize];
-            if !set.remove(&loc.within) {
+            if !set.remove(loc.within) {
                 return Err(DtlError::Internal {
                     reason: format!("freeing unallocated segment {d}"),
                 });
@@ -214,7 +285,7 @@ impl SegmentAllocator {
     /// [`DtlError::Internal`] if `src` was not allocated.
     pub fn complete_move(&mut self, src: SegmentLocation) -> Result<(), DtlError> {
         let set = &mut self.allocated[src.channel as usize][src.rank as usize];
-        if !set.remove(&src.within) {
+        if !set.remove(src.within) {
             return Err(DtlError::Internal {
                 reason: format!("move source {src:?} not allocated"),
             });
@@ -226,13 +297,13 @@ impl SegmentAllocator {
     /// Records a hotness swap between two slots where exactly one side may
     /// be free: allocation status is exchanged.
     pub fn swap_status(&mut self, a: SegmentLocation, b: SegmentLocation) {
-        let a_alloc = self.allocated[a.channel as usize][a.rank as usize].contains(&a.within);
-        let b_alloc = self.allocated[b.channel as usize][b.rank as usize].contains(&b.within);
+        let a_alloc = self.allocated[a.channel as usize][a.rank as usize].contains(a.within);
+        let b_alloc = self.allocated[b.channel as usize][b.rank as usize].contains(b.within);
         if a_alloc == b_alloc {
             return; // both live or both free: status unchanged
         }
         let (live, free) = if a_alloc { (a, b) } else { (b, a) };
-        self.allocated[live.channel as usize][live.rank as usize].remove(&live.within);
+        self.allocated[live.channel as usize][live.rank as usize].remove(live.within);
         self.free[live.channel as usize][live.rank as usize].push_back(live.within);
         let fq = &mut self.free[free.channel as usize][free.rank as usize];
         if let Some(pos) = fq.iter().position(|w| *w == free.within) {
@@ -243,29 +314,58 @@ impl SegmentAllocator {
 
     /// Whether a slot is currently allocated.
     pub fn is_allocated(&self, loc: SegmentLocation) -> bool {
-        self.allocated[loc.channel as usize][loc.rank as usize].contains(&loc.within)
+        self.allocated[loc.channel as usize][loc.rank as usize].contains(loc.within)
     }
 
-    /// Verifies that free + allocated exactly tile every rank.
+    /// Verifies that free + allocated exactly tile every rank: the counts
+    /// add up to the rank size, every slot is in range, and no slot is both
+    /// free and allocated or free twice.
     ///
     /// # Errors
     ///
     /// [`DtlError::Internal`] describing the first inconsistency.
     pub fn check_consistency(&self) -> Result<(), DtlError> {
+        let segs = self.geo.segs_per_rank;
+        let mut seen = SlotSet::default();
         for c in 0..self.geo.channels as usize {
             for r in 0..self.geo.ranks_per_channel as usize {
-                let f = self.free[c][r].len() as u64;
-                let a = self.allocated[c][r].len() as u64;
-                if f + a != self.geo.segs_per_rank {
+                let (free, allocated) = (&self.free[c][r], &self.allocated[c][r]);
+                let f = free.len() as u64;
+                let a = allocated.len();
+                if f + a != segs {
                     return Err(DtlError::Internal {
                         reason: format!("ch{c}/rk{r}: {f} free + {a} allocated != rank size"),
                     });
                 }
-                let mut seen: BTreeSet<u64> = self.allocated[c][r].clone();
-                for w in &self.free[c][r] {
-                    if !seen.insert(*w) {
+                let held = allocated.words.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+                if held != a {
+                    return Err(DtlError::Internal {
+                        reason: format!("ch{c}/rk{r}: allocated set holds {held} slots, books {a}"),
+                    });
+                }
+                if allocated.end() > segs {
+                    return Err(DtlError::Internal {
+                        reason: format!(
+                            "ch{c}/rk{r}: allocated slot {} out of range",
+                            allocated.end() - 1
+                        ),
+                    });
+                }
+                seen.clear();
+                for &w in free {
+                    if w >= segs {
+                        return Err(DtlError::Internal {
+                            reason: format!("ch{c}/rk{r}: free slot {w} out of range"),
+                        });
+                    }
+                    if allocated.contains(w) {
                         return Err(DtlError::Internal {
                             reason: format!("ch{c}/rk{r}: slot {w} in both free and allocated"),
+                        });
+                    }
+                    if !seen.insert(w) {
+                        return Err(DtlError::Internal {
+                            reason: format!("ch{c}/rk{r}: slot {w} free twice"),
                         });
                     }
                 }
@@ -477,6 +577,53 @@ mod tests {
         assert!(matches!(a.allocate_au(8), Err(DtlError::OutOfCapacity { .. })));
         assert_eq!(a.free_in_channel_active(0), before_ch0, "failed alloc must not leak");
         a.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn slot_set_iterates_ascending_across_words() {
+        let mut set = SlotSet::default();
+        for slot in [130, 0, 63, 64, 199, 5] {
+            assert!(set.insert(slot));
+        }
+        assert!(!set.insert(64), "double insert");
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 5, 63, 64, 130, 199]);
+        assert_eq!((set.len(), set.end()), (6, 200));
+        assert!(set.remove(199) && !set.remove(199));
+        assert!(!set.remove(1000), "out-of-range remove is a miss");
+        assert_eq!((set.len(), set.end()), (5, 131));
+    }
+
+    #[test]
+    fn check_rejects_slot_both_free_and_allocated() {
+        let mut a = SegmentAllocator::new(geo());
+        let dsns = a.allocate_au(8).unwrap();
+        let loc = geo().location(dsns[0]);
+        // Swap a free slot for the allocated one: counts still add up.
+        let fq = &mut a.free[loc.channel as usize][loc.rank as usize];
+        *fq.back_mut().unwrap() = loc.within;
+        let err = a.check_consistency().unwrap_err();
+        assert!(err.to_string().contains("in both free and allocated"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_out_of_range_slot() {
+        let mut a = SegmentAllocator::new(geo());
+        // Slot 40 of a 16-slot rank stands in for a missing slot 7: counts
+        // add up and nothing is listed twice.
+        let fq = &mut a.free[0][0];
+        let pos = fq.iter().position(|w| *w == 7).unwrap();
+        fq[pos] = 40;
+        let err = a.check_consistency().unwrap_err();
+        assert!(err.to_string().contains("slot 40 out of range"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_count_mismatch() {
+        let mut a = SegmentAllocator::new(geo());
+        a.allocate_au(8).unwrap();
+        a.free[1][2].pop_front();
+        let err = a.check_consistency().unwrap_err();
+        assert!(err.to_string().contains("!= rank size"), "{err}");
     }
 
     #[test]

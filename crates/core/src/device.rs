@@ -352,8 +352,8 @@ impl<B: MemoryBackend> DtlDevice<B> {
         self.tables.translate(hsn)
     }
 
-    /// Every mapped (DSN, HSN) pair (unordered) — the checker's view of
-    /// the reverse table.
+    /// Every mapped (DSN, HSN) pair in ascending DSN order — the checker's
+    /// view of the reverse table.
     pub fn mapped_entries(&self) -> Vec<(Dsn, Hsn)> {
         self.tables.iter_mapped().collect()
     }

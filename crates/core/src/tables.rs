@@ -5,18 +5,23 @@
 //! In hardware the first two levels live in on-chip SRAM and the segment
 //! mapping table in reserved DRAM; the functional simulator keeps them all
 //! in memory and the latency model charges the appropriate access costs.
-
-use std::collections::HashMap;
+//! Like the hardware, every level is a direct-indexed array: the forward
+//! table by host id, then AU id, then AU offset, and the reverse table by
+//! DSN. Host ids are small (the device caps them at `max_hosts`) and the
+//! device hands AU ids out densely, reusing freed ones first.
 
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{AuId, Dsn, HostId, Hsn};
 use crate::error::DtlError;
 
-/// One allocation unit's segment mapping: AU offset → DSN.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One host's AU table: AU id → that AU's segment mapping (AU offset →
+/// DSN), `None` for an id with no AU behind it.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct AuTable {
-    map: Vec<Dsn>,
+    aus: Vec<Option<Vec<Dsn>>>,
+    /// Number of `Some` entries in `aus`.
+    live: usize,
 }
 
 /// All mapping state of the device.
@@ -37,8 +42,13 @@ struct AuTable {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MappingTables {
     segments_per_au: u64,
-    hosts: HashMap<HostId, HashMap<AuId, AuTable>>,
-    reverse: HashMap<Dsn, Hsn>,
+    /// Forward table indexed by host id; `None` for an unregistered host.
+    hosts: Vec<Option<AuTable>>,
+    /// Reverse table indexed by DSN, grown on demand to the highest DSN
+    /// ever mapped; `None` for an unallocated segment.
+    reverse: Vec<Option<Hsn>>,
+    /// Number of `Some` entries in `reverse`.
+    mapped: u64,
 }
 
 impl MappingTables {
@@ -49,22 +59,54 @@ impl MappingTables {
     /// Panics if `segments_per_au` is zero.
     pub fn new(segments_per_au: u64) -> Self {
         assert!(segments_per_au > 0, "an AU must hold at least one segment");
-        MappingTables { segments_per_au, hosts: HashMap::new(), reverse: HashMap::new() }
+        MappingTables { segments_per_au, hosts: Vec::new(), reverse: Vec::new(), mapped: 0 }
     }
 
     /// Registers a host (idempotent).
     pub fn register_host(&mut self, host: HostId) {
-        self.hosts.entry(host).or_default();
+        let i = usize::from(host.0);
+        if self.hosts.len() <= i {
+            self.hosts.resize_with(i + 1, || None);
+        }
+        self.hosts[i].get_or_insert_with(AuTable::default);
+    }
+
+    fn host(&self, host: HostId) -> Option<&AuTable> {
+        self.hosts.get(usize::from(host.0))?.as_ref()
+    }
+
+    fn host_mut(&mut self, host: HostId) -> Option<&mut AuTable> {
+        self.hosts.get_mut(usize::from(host.0))?.as_mut()
+    }
+
+    /// Sets the reverse entry of `dsn`, keeping `mapped` in step.
+    fn set_reverse(&mut self, dsn: Dsn, hsn: Hsn) {
+        let i = dsn.0 as usize;
+        if self.reverse.len() <= i {
+            self.reverse.resize(i + 1, None);
+        }
+        if self.reverse[i].replace(hsn).is_none() {
+            self.mapped += 1;
+        }
+    }
+
+    /// Clears the reverse entry of `dsn`, keeping `mapped` in step.
+    fn clear_reverse(&mut self, dsn: Dsn) {
+        if let Some(entry) = self.reverse.get_mut(dsn.0 as usize) {
+            if entry.take().is_some() {
+                self.mapped -= 1;
+            }
+        }
     }
 
     /// Whether a host is registered.
     pub fn has_host(&self, host: HostId) -> bool {
-        self.hosts.contains_key(&host)
+        self.host(host).is_some()
     }
 
     /// Number of AUs currently mapped for `host` (0 if unknown).
     pub fn au_count(&self, host: HostId) -> usize {
-        self.hosts.get(&host).map_or(0, HashMap::len)
+        self.host(host).map_or(0, |h| h.live)
     }
 
     /// Installs a new AU for `host` backed by exactly `segments_per_au`
@@ -82,20 +124,26 @@ impl MappingTables {
             });
         }
         for (off, d) in dsns.iter().enumerate() {
-            if self.reverse.contains_key(d) {
+            if self.reverse(*d).is_some() {
                 return Err(DtlError::Internal {
                     reason: format!("DSN {d} already mapped (offset {off})"),
                 });
             }
         }
-        let aus = self.hosts.get_mut(&host).ok_or(DtlError::UnknownHost(host))?;
-        if aus.contains_key(&au) {
+        let table = self.host_mut(host).ok_or(DtlError::UnknownHost(host))?;
+        let i = au.0 as usize;
+        if table.aus.len() <= i {
+            table.aus.resize_with(i + 1, || None);
+        }
+        if table.aus[i].is_some() {
             return Err(DtlError::Internal { reason: format!("{host} already has {au}") });
         }
         for (off, d) in dsns.iter().enumerate() {
-            self.reverse.insert(*d, Hsn { host, au, au_offset: off as u32 });
+            self.set_reverse(*d, Hsn { host, au, au_offset: off as u32 });
         }
-        self.hosts.get_mut(&host).expect("checked above").insert(au, AuTable { map: dsns });
+        let table = self.host_mut(host).expect("checked above");
+        table.aus[i] = Some(dsns);
+        table.live += 1;
         Ok(())
     }
 
@@ -105,22 +153,32 @@ impl MappingTables {
     ///
     /// [`DtlError::UnknownHost`] / [`DtlError::UnknownAu`] when absent.
     pub fn remove_au(&mut self, host: HostId, au: AuId) -> Result<Vec<Dsn>, DtlError> {
-        let aus = self.hosts.get_mut(&host).ok_or(DtlError::UnknownHost(host))?;
-        let table = aus.remove(&au).ok_or(DtlError::UnknownAu { host, au })?;
-        for d in &table.map {
-            self.reverse.remove(d);
+        let table = self.host_mut(host).ok_or(DtlError::UnknownHost(host))?;
+        let map = table
+            .aus
+            .get_mut(au.0 as usize)
+            .and_then(Option::take)
+            .ok_or(DtlError::UnknownAu { host, au })?;
+        table.live -= 1;
+        for d in &map {
+            self.clear_reverse(*d);
         }
-        Ok(table.map)
+        Ok(map)
     }
 
     /// The full three-level walk: HSN → DSN.
     pub fn translate(&self, hsn: Hsn) -> Option<Dsn> {
-        self.hosts.get(&hsn.host)?.get(&hsn.au)?.map.get(hsn.au_offset as usize).copied()
+        self.host(hsn.host)?
+            .aus
+            .get(hsn.au.0 as usize)?
+            .as_ref()?
+            .get(hsn.au_offset as usize)
+            .copied()
     }
 
     /// The reverse walk: DSN → HSN (None for unallocated segments).
     pub fn reverse(&self, dsn: Dsn) -> Option<Hsn> {
-        self.reverse.get(&dsn).copied()
+        self.reverse.get(dsn.0 as usize).copied().flatten()
     }
 
     /// Points `hsn` at a new DSN (after migration). Returns the old DSN.
@@ -131,23 +189,25 @@ impl MappingTables {
     ///   [`DtlError::Internal`] when the HSN is not currently mapped or the
     ///   destination is occupied by another HSN.
     pub fn remap(&mut self, hsn: Hsn, new_dsn: Dsn) -> Result<Dsn, DtlError> {
-        if let Some(owner) = self.reverse.get(&new_dsn) {
-            if *owner != hsn {
+        if let Some(owner) = self.reverse(new_dsn) {
+            if owner != hsn {
                 return Err(DtlError::Internal {
                     reason: format!("remap target {new_dsn} already owned by {owner}"),
                 });
             }
         }
-        let aus = self.hosts.get_mut(&hsn.host).ok_or(DtlError::UnknownHost(hsn.host))?;
-        let table =
-            aus.get_mut(&hsn.au).ok_or(DtlError::UnknownAu { host: hsn.host, au: hsn.au })?;
-        let slot = table.map.get_mut(hsn.au_offset as usize).ok_or(DtlError::Internal {
+        let table = self.host_mut(hsn.host).ok_or(DtlError::UnknownHost(hsn.host))?;
+        let map = table
+            .aus
+            .get_mut(hsn.au.0 as usize)
+            .and_then(Option::as_mut)
+            .ok_or(DtlError::UnknownAu { host: hsn.host, au: hsn.au })?;
+        let slot = map.get_mut(hsn.au_offset as usize).ok_or_else(|| DtlError::Internal {
             reason: format!("AU offset {} out of range", hsn.au_offset),
         })?;
-        let old = *slot;
-        *slot = new_dsn;
-        self.reverse.remove(&old);
-        self.reverse.insert(new_dsn, hsn);
+        let old = std::mem::replace(slot, new_dsn);
+        self.clear_reverse(old);
+        self.set_reverse(new_dsn, hsn);
         Ok(old)
     }
 
@@ -173,25 +233,26 @@ impl MappingTables {
             self.point(h, a)?;
         }
         // Rebuild the reverse entries explicitly (point() fixed forward).
-        self.reverse.remove(&a);
-        self.reverse.remove(&b);
+        self.clear_reverse(a);
+        self.clear_reverse(b);
         if let Some(h) = ha {
-            self.reverse.insert(b, h);
+            self.set_reverse(b, h);
         }
         if let Some(h) = hb {
-            self.reverse.insert(a, h);
+            self.set_reverse(a, h);
         }
         Ok((ha, hb))
     }
 
     /// Updates only the forward table (internal helper for `swap`).
     fn point(&mut self, hsn: Hsn, dsn: Dsn) -> Result<(), DtlError> {
-        let table = self
-            .hosts
-            .get_mut(&hsn.host)
-            .and_then(|aus| aus.get_mut(&hsn.au))
-            .ok_or(DtlError::Internal { reason: format!("dangling reverse entry {hsn}") })?;
-        let slot = table.map.get_mut(hsn.au_offset as usize).ok_or(DtlError::Internal {
+        let map = self
+            .host_mut(hsn.host)
+            .and_then(|table| table.aus.get_mut(hsn.au.0 as usize)?.as_mut())
+            .ok_or_else(|| DtlError::Internal {
+                reason: format!("dangling reverse entry {hsn}"),
+            })?;
+        let slot = map.get_mut(hsn.au_offset as usize).ok_or_else(|| DtlError::Internal {
             reason: format!("AU offset {} out of range", hsn.au_offset),
         })?;
         *slot = dsn;
@@ -205,19 +266,19 @@ impl MappingTables {
     /// corrupted HSN, or `None` when nothing is mapped.
     #[doc(hidden)]
     pub fn corrupt_first_forward_slot(&mut self) -> Option<Hsn> {
-        let (dsn, hsn) = self.reverse.iter().min_by_key(|(d, _)| d.0).map(|(d, h)| (*d, *h))?;
+        let (dsn, hsn) = self.iter_mapped().next()?;
         self.point(hsn, Dsn(dsn.0 ^ 1)).ok()?;
         Some(hsn)
     }
 
-    /// Iterates over all mapped (DSN, HSN) pairs (unordered).
+    /// Iterates over all mapped (DSN, HSN) pairs in ascending DSN order.
     pub fn iter_mapped(&self) -> impl Iterator<Item = (Dsn, Hsn)> + '_ {
-        self.reverse.iter().map(|(d, h)| (*d, *h))
+        self.reverse.iter().enumerate().filter_map(|(d, h)| h.map(|h| (Dsn(d as u64), h)))
     }
 
     /// Number of mapped segments.
     pub fn mapped_segments(&self) -> u64 {
-        self.reverse.len() as u64
+        self.mapped
     }
 
     /// Verifies forward/reverse consistency; returns the number of mapped
@@ -227,28 +288,37 @@ impl MappingTables {
     ///
     /// [`DtlError::Internal`] describing the first inconsistency found.
     pub fn check_consistency(&self) -> Result<u64, DtlError> {
-        for (dsn, hsn) in &self.reverse {
-            match self.translate(*hsn) {
-                Some(d) if d == *dsn => {}
+        let mut reverse_count = 0u64;
+        for (dsn, hsn) in self.iter_mapped() {
+            match self.translate(hsn) {
+                Some(d) if d == dsn => {}
                 other => {
                     return Err(DtlError::Internal {
                         reason: format!("reverse {dsn}->{hsn} but forward says {other:?}"),
                     })
                 }
             }
+            reverse_count += 1;
+        }
+        if reverse_count != self.mapped {
+            return Err(DtlError::Internal {
+                reason: format!("reverse holds {reverse_count} entries but books {}", self.mapped),
+            });
         }
         let mut forward_count = 0u64;
-        for aus in self.hosts.values() {
-            for table in aus.values() {
-                forward_count += table.map.len() as u64;
+        for (host, table) in self.hosts.iter().enumerate() {
+            let Some(table) = table else { continue };
+            let live = table.aus.iter().flatten().count();
+            if live != table.live {
+                return Err(DtlError::Internal {
+                    reason: format!("host{host} holds {live} AUs but books {}", table.live),
+                });
             }
+            forward_count += table.aus.iter().flatten().map(|map| map.len() as u64).sum::<u64>();
         }
-        if forward_count != self.reverse.len() as u64 {
+        if forward_count != reverse_count {
             return Err(DtlError::Internal {
-                reason: format!(
-                    "forward maps {forward_count} segments, reverse {}",
-                    self.reverse.len()
-                ),
+                reason: format!("forward maps {forward_count} segments, reverse {reverse_count}"),
             });
         }
         Ok(forward_count)
@@ -352,6 +422,19 @@ mod tests {
         t.swap(Dsn(0), Dsn(0)).unwrap();
         assert_eq!(t.translate(hsn(0, 0, 0)), Some(Dsn(0)));
         t.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn check_rejects_booked_count_drift() {
+        let mut t = tables();
+        t.mapped += 1;
+        assert!(t.check_consistency().unwrap_err().to_string().contains("books 9"));
+        let mut t = tables();
+        t.hosts[1].as_mut().unwrap().live = 2;
+        assert!(t.check_consistency().unwrap_err().to_string().contains("host1 holds 1 AUs"));
+        let mut t = tables();
+        t.corrupt_first_forward_slot().unwrap();
+        assert!(t.check_consistency().unwrap_err().to_string().contains("reverse dsn"));
     }
 
     #[test]

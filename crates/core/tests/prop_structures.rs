@@ -1,12 +1,70 @@
 //! Property tests on the DTL's individual structures: the segment mapping
-//! cache against a reference model, the allocator's partition invariant,
-//! and mapping-table forward/reverse consistency under random churn.
+//! cache against a reference model, the allocator's partition invariant and
+//! its allocated-slot sets against a set model, and the mapping tables
+//! against a plain HSN → DSN map under random churn.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use dtl_core::{
-    AuId, Dsn, HostId, Hsn, MappingTables, SegmentAllocator, SegmentGeometry, SegmentMappingCache,
+    AuId, Dsn, HostId, Hsn, MappingTables, SegmentAllocator, SegmentGeometry, SegmentLocation,
+    SegmentMappingCache,
 };
+
+/// Segments per AU in the mapping-table model tests.
+const SEGS_PER_AU: u64 = 4;
+/// DSNs the mapping-table model draws from.
+const DSN_SPACE: u64 = 64;
+/// Hosts and AU ids the mapping-table model exercises.
+const HOSTS: u16 = 2;
+const AUS: u32 = 5;
+
+/// Asserts every read-side view of `t` agrees with `model`.
+fn assert_tables_match(t: &MappingTables, model: &HashMap<Hsn, Dsn>) -> Result<(), TestCaseError> {
+    for host in 0..HOSTS {
+        let host = HostId(host);
+        let live: BTreeSet<AuId> = model.keys().filter(|h| h.host == host).map(|h| h.au).collect();
+        prop_assert_eq!(t.au_count(host), live.len());
+        for au in 0..AUS {
+            for off in 0..SEGS_PER_AU as u32 {
+                let hsn = Hsn { host, au: AuId(au), au_offset: off };
+                prop_assert_eq!(t.translate(hsn), model.get(&hsn).copied());
+            }
+        }
+    }
+    let mut inverse: Vec<(Dsn, Hsn)> = model.iter().map(|(h, d)| (*d, *h)).collect();
+    inverse.sort();
+    for d in 0..DSN_SPACE {
+        let want = inverse.iter().find(|(dsn, _)| dsn.0 == d).map(|(_, h)| *h);
+        prop_assert_eq!(t.reverse(Dsn(d)), want);
+    }
+    prop_assert_eq!(t.mapped_segments(), model.len() as u64);
+    let mapped: Vec<(Dsn, Hsn)> = t.iter_mapped().collect();
+    prop_assert!(mapped.windows(2).all(|w| w[0].0 < w[1].0), "iter_mapped not ascending");
+    prop_assert_eq!(mapped, inverse);
+    prop_assert_eq!(t.check_consistency().ok(), Some(model.len() as u64));
+    Ok(())
+}
+
+/// Asserts every rank's allocated slots match the model, in ascending
+/// order.
+fn assert_slots_match(
+    alloc: &SegmentAllocator,
+    model: &BTreeSet<(u32, u32, u64)>,
+) -> Result<(), TestCaseError> {
+    let geo = alloc.geometry();
+    for c in 0..geo.channels {
+        for r in 0..geo.ranks_per_channel {
+            let slots: Vec<u64> = alloc.allocated_slots(c, r).collect();
+            let want: Vec<u64> =
+                model.range((c, r, 0)..=(c, r, u64::MAX)).map(|(_, _, w)| *w).collect();
+            prop_assert!(slots.windows(2).all(|w| w[0] < w[1]), "allocated_slots not ascending");
+            prop_assert_eq!(alloc.allocated_in_rank(c, r), want.len() as u64);
+            prop_assert_eq!(slots, want);
+        }
+    }
+    prop_assert!(alloc.check_consistency().is_ok());
+    Ok(())
+}
 use proptest::prelude::*;
 
 proptest! {
@@ -83,6 +141,163 @@ proptest! {
                 }
                 prop_assert_eq!(per[0], per[1]);
             }
+        }
+    }
+
+    /// Allocator slot sets track a `BTreeSet` model through AU churn,
+    /// single-slot takes, moves and swaps, always iterating ascending.
+    #[test]
+    fn allocator_slots_match_set_model(ops in prop::collection::vec(
+        (0u8..5, any::<u16>(), any::<u16>()), 1..200
+    )) {
+        // 100 slots per rank: the sets span two 64-bit words.
+        let geo = SegmentGeometry { channels: 2, ranks_per_channel: 3, segs_per_rank: 100 };
+        let mut alloc = SegmentAllocator::new(geo);
+        // (channel, rank, within) of every allocated slot.
+        let mut model: BTreeSet<(u32, u32, u64)> = BTreeSet::new();
+        let key = |l: SegmentLocation| (l.channel, l.rank, l.within);
+        let mut aus: Vec<Vec<Dsn>> = Vec::new();
+        for (kind, x, y) in ops {
+            let (c, r) = (u32::from(x) % geo.channels, u32::from(y) % geo.ranks_per_channel);
+            match kind {
+                0 => {
+                    if let Ok(dsns) = alloc.allocate_au(16) {
+                        for d in &dsns {
+                            prop_assert!(model.insert(key(geo.location(*d))));
+                        }
+                        aus.push(dsns);
+                    }
+                }
+                1 => {
+                    if !aus.is_empty() {
+                        let dsns = aus.swap_remove(usize::from(x) % aus.len());
+                        alloc.free_segments(&dsns).unwrap();
+                        for d in &dsns {
+                            prop_assert!(model.remove(&key(geo.location(*d))));
+                        }
+                    }
+                }
+                2 => {
+                    // Move one live AU segment to a free slot of rank r.
+                    if let Some(dsns) = aus.first_mut() {
+                        let k = usize::from(y) % dsns.len();
+                        let src = geo.location(dsns[k]);
+                        if let Some(dst) = alloc.take_free_in_rank(src.channel, r) {
+                            alloc.complete_move(src).unwrap();
+                            model.remove(&key(src));
+                            model.insert(key(dst));
+                            dsns[k] = geo.dsn(dst);
+                        }
+                    }
+                }
+                3 => {
+                    // Exchange a live AU segment with an arbitrary slot.
+                    if let Some(dsns) = aus.last_mut() {
+                        let k = usize::from(x) % dsns.len();
+                        let live = geo.location(dsns[k]);
+                        let other = SegmentLocation { channel: live.channel, rank: r, within: u64::from(y) % 100 };
+                        if !alloc.is_allocated(other) {
+                            alloc.swap_status(live, other);
+                            model.remove(&key(live));
+                            model.insert(key(other));
+                            dsns[k] = geo.dsn(other);
+                        }
+                    }
+                }
+                _ => {
+                    // Reserve a specific slot; succeeds iff it is free.
+                    let loc = SegmentLocation { channel: c, rank: r, within: u64::from(x) % 100 };
+                    let was_free = !model.contains(&key(loc));
+                    prop_assert_eq!(alloc.reserve_slot(loc), was_free);
+                    if was_free {
+                        model.insert(key(loc));
+                        alloc.free_segments(&[geo.dsn(loc)]).unwrap();
+                        model.remove(&key(loc));
+                    }
+                }
+            }
+            assert_slots_match(&alloc, &model)?;
+        }
+    }
+
+    /// Mapping tables agree with a plain HSN → DSN map across two hosts
+    /// under create / remove / remap / swap churn, including removing an AU
+    /// and re-creating the same `AuId`.
+    #[test]
+    fn tables_match_map_model(ops in prop::collection::vec(
+        (0u8..5, 0u16..HOSTS, 0u32..AUS, 0u64..DSN_SPACE, 0u64..DSN_SPACE), 1..250
+    )) {
+        let mut t = MappingTables::new(SEGS_PER_AU);
+        for h in 0..HOSTS {
+            t.register_host(HostId(h));
+        }
+        let mut model: HashMap<Hsn, Dsn> = HashMap::new();
+        let live_au = |m: &HashMap<Hsn, Dsn>, host: HostId, au: AuId| {
+            m.keys().any(|h| h.host == host && h.au == au)
+        };
+        for (kind, host, au, x, y) in ops {
+            let (host, au) = (HostId(host), AuId(au));
+            let free: Vec<Dsn> = {
+                let used: BTreeSet<Dsn> = model.values().copied().collect();
+                (0..DSN_SPACE).map(Dsn).filter(|d| !used.contains(d)).collect()
+            };
+            match kind {
+                0 => {
+                    // Four free DSNs starting at a random point in the free list.
+                    let dsns: Vec<Dsn> =
+                        (0..SEGS_PER_AU as usize).map(|i| free[(x as usize + i) % free.len()]).collect();
+                    let res = t.create_au(host, au, dsns.clone());
+                    if live_au(&model, host, au) {
+                        prop_assert!(res.is_err(), "duplicate AU accepted");
+                    } else {
+                        res.unwrap();
+                        for (off, d) in dsns.into_iter().enumerate() {
+                            model.insert(Hsn { host, au, au_offset: off as u32 }, d);
+                        }
+                    }
+                }
+                1 => {
+                    let res = t.remove_au(host, au);
+                    if live_au(&model, host, au) {
+                        let want: Vec<Dsn> = (0..SEGS_PER_AU as u32)
+                            .map(|off| model.remove(&Hsn { host, au, au_offset: off }).unwrap())
+                            .collect();
+                        prop_assert_eq!(res.unwrap(), want);
+                    } else {
+                        prop_assert!(res.is_err(), "removed an absent AU");
+                    }
+                }
+                2 | 3 => {
+                    // Remap to a free DSN (kind 2) or to any DSN (kind 3),
+                    // which must fail when another HSN owns it.
+                    let hsn = Hsn { host, au, au_offset: (y % SEGS_PER_AU) as u32 };
+                    let target = if kind == 2 { free[x as usize % free.len()] } else { Dsn(x) };
+                    let owner = model.iter().find(|(_, d)| **d == target).map(|(h, _)| *h);
+                    let res = t.remap(hsn, target);
+                    match model.get(&hsn).copied() {
+                        Some(old) if owner.is_none_or(|o| o == hsn) => {
+                            prop_assert_eq!(res.unwrap(), old);
+                            model.insert(hsn, target);
+                        }
+                        _ => prop_assert!(res.is_err(), "bad remap accepted"),
+                    }
+                }
+                _ => {
+                    let (a, b) = (Dsn(x), Dsn(y));
+                    let owner = |d: Dsn| model.iter().find(|(_, v)| **v == d).map(|(h, _)| *h);
+                    let (ha, hb) = (owner(a), owner(b));
+                    prop_assert_eq!(t.swap(a, b).unwrap(), (ha, hb));
+                    if a != b {
+                        if let Some(h) = ha {
+                            model.insert(h, b);
+                        }
+                        if let Some(h) = hb {
+                            model.insert(h, a);
+                        }
+                    }
+                }
+            }
+            assert_tables_match(&t, &model)?;
         }
     }
 

@@ -276,6 +276,11 @@ pub enum PoolError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A pool-level invariant was violated (indicates a bug).
+    Internal {
+        /// Human-readable description.
+        reason: String,
+    },
     /// A member device reported an error.
     Device {
         /// The reporting device.
@@ -323,6 +328,7 @@ impl fmt::Display for PoolError {
             PoolError::InvalidConfig { reason } => {
                 write!(f, "invalid pool configuration: {reason}")
             }
+            PoolError::Internal { reason } => write!(f, "pool invariant violated: {reason}"),
             PoolError::Device { device, source } => write!(f, "{device}: {source}"),
             PoolError::UnknownVm(vm) => write!(f, "unknown pool VM {}", vm.0),
             PoolError::UnknownDevice(d) => write!(f, "unknown device {d}"),
@@ -351,11 +357,12 @@ impl std::error::Error for PoolError {
 
 impl From<PoolError> for DtlError {
     /// Flattens a pool error for harnesses whose error type is [`DtlError`]:
-    /// device errors unwrap to their source, everything else becomes
-    /// [`DtlError::Internal`].
+    /// device errors unwrap to their source, a pool invariant violation
+    /// keeps its reason, and everything else becomes [`DtlError::Internal`].
     fn from(e: PoolError) -> Self {
         match e {
             PoolError::Device { source, .. } => source,
+            PoolError::Internal { reason } => DtlError::Internal { reason },
             other => DtlError::Internal { reason: other.to_string() },
         }
     }

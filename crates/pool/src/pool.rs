@@ -1098,9 +1098,8 @@ impl<B: MemoryBackend> MemoryPool<B> {
     ///
     /// # Errors
     ///
-    /// The first violation found (device errors wrapped in
-    /// [`PoolError::Device`], pool-level ones as
-    /// [`PoolError::InvalidConfig`]-style internal descriptions).
+    /// The first violation found: device errors wrapped in
+    /// [`PoolError::Device`], pool-level ones as [`PoolError::Internal`].
     pub fn check_invariants(&self) -> Result<(), PoolError> {
         for d in &self.devices {
             d.dev.check_invariants().map_err(|e| PoolError::Device { device: d.id, source: e })?;
@@ -1166,7 +1165,7 @@ impl<B: MemoryBackend> MemoryPool<B> {
 }
 
 fn internal(reason: String) -> PoolError {
-    PoolError::InvalidConfig { reason }
+    PoolError::Internal { reason }
 }
 
 #[cfg(test)]
@@ -1206,6 +1205,20 @@ mod tests {
             }
         }
         panic!("evacuations never settled: {} pending", p.evacuations_pending());
+    }
+
+    #[test]
+    fn booking_mismatch_is_an_internal_error() {
+        let mut p = pool(2);
+        p.alloc_vm(HostId(0), au(&p), Picos::ZERO).unwrap();
+        p.check_invariants().unwrap();
+        p.devices[1].allocated_aus += 1;
+        let err = p.check_invariants().unwrap_err();
+        assert!(
+            matches!(&err, PoolError::Internal { reason } if reason.contains("books 1 AUs")),
+            "{err:?}"
+        );
+        assert!(matches!(dtl_core::DtlError::from(err), dtl_core::DtlError::Internal { .. }));
     }
 
     #[test]
