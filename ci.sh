@@ -37,6 +37,7 @@ timeout 30 ./target/release/pool_scale --tiny --jobs 2
 timeout 30 ./target/release/pool_failover --tiny --jobs 2
 timeout 30 ./target/release/policy_ablation --tiny --jobs 2 > /tmp/dtl_ci_policy.txt
 timeout 30 ./target/release/vm_campaign --tiny --jobs 2
+timeout 30 ./target/release/vm_campaign --tiny --hosts 20 --minutes 20160 --jobs 2
 timeout 30 ./target/release/fabric_load --tiny --jobs 2 > /tmp/dtl_ci_fabric.txt
 
 echo "== policy_ablation covers every PowerPolicy impl =="

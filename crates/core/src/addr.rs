@@ -104,6 +104,18 @@ impl Hsn {
     pub fn pack(self) -> u64 {
         (u64::from(self.host.0) << 48) | (u64::from(self.au.0) << 20) | u64::from(self.au_offset)
     }
+
+    /// The inverse of [`Hsn::pack`], exact for every HSN whose AU id fits
+    /// in 28 bits and whose AU offset fits in 20 (`DtlConfig::validate`
+    /// rejects AUs of more than `1 << 20` segments).
+    #[inline]
+    pub fn unpack(key: u64) -> Hsn {
+        Hsn {
+            host: HostId((key >> 48) as u16),
+            au: AuId(((key >> 20) & ((1 << 28) - 1)) as u32),
+            au_offset: (key & ((1 << 20) - 1)) as u32,
+        }
+    }
 }
 
 impl fmt::Display for Hsn {
@@ -249,6 +261,17 @@ mod tests {
         assert_ne!(a.pack(), b.pack());
         assert_ne!(a.pack(), c.pack());
         assert_eq!(a.pack(), Hsn { ..a }.pack());
+    }
+
+    #[test]
+    fn hsn_unpack_inverts_pack() {
+        for hsn in [
+            Hsn { host: HostId(0), au: AuId(0), au_offset: 0 },
+            Hsn { host: HostId(1), au: AuId(2), au_offset: 3 },
+            Hsn { host: HostId(u16::MAX), au: AuId((1 << 28) - 1), au_offset: (1 << 20) - 1 },
+        ] {
+            assert_eq!(Hsn::unpack(hsn.pack()), hsn);
+        }
     }
 
     #[test]

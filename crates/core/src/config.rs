@@ -97,8 +97,10 @@ impl DtlConfig {
     ///
     /// Returns [`DtlError::InvalidConfig`] when sizes are zero, not powers
     /// of two, or inconsistent (AU not a multiple of segment, AU not a
-    /// multiple of `channels * segment` so allocations cannot balance, or
-    /// the device capacity not a whole number of AUs).
+    /// multiple of `channels * segment` so allocations cannot balance, a
+    /// rank that is not a whole number of segments, an L2 SMC set count
+    /// that is not a power of two, or an AU of more than `1 << 20`
+    /// segments, whose offsets would overflow the HSN key).
     pub fn validate(&self, dram: &DramConfig) -> Result<(), DtlError> {
         if !self.segment_bytes.is_power_of_two() || self.segment_bytes == 0 {
             return Err(DtlError::InvalidConfig {
@@ -130,6 +132,20 @@ impl DtlConfig {
         if !self.smc_l2_entries.is_multiple_of(self.smc_l2_ways) {
             return Err(DtlError::InvalidConfig {
                 reason: "L2 SMC entries must divide evenly into ways".into(),
+            });
+        }
+        let l2_sets = self.smc_l2_entries / self.smc_l2_ways;
+        if !l2_sets.is_power_of_two() {
+            return Err(DtlError::InvalidConfig {
+                reason: format!("L2 SMC set count {l2_sets} must be a power of two"),
+            });
+        }
+        if self.segments_per_au() > 1 << 20 {
+            return Err(DtlError::InvalidConfig {
+                reason: format!(
+                    "an AU of {} segments exceeds the 1 << 20 offsets an HSN key holds",
+                    self.segments_per_au()
+                ),
             });
         }
         if self.profile_window == Picos::ZERO || self.profile_threshold == Picos::ZERO {
@@ -181,6 +197,25 @@ mod tests {
         let mut c = DtlConfig::paper();
         c.profile_window = Picos::ZERO;
         assert!(c.validate(&dram).is_err());
+    }
+
+    #[test]
+    fn non_power_of_two_l2_set_count_rejected() {
+        let mut c = DtlConfig::tiny();
+        c.smc_l2_entries = 96; // 24 sets of 4 ways
+        let err = c.validate(&DramConfig::tiny()).unwrap_err();
+        assert!(err.to_string().contains("set count 24"), "{err}");
+    }
+
+    #[test]
+    fn au_wider_than_the_hsn_offset_field_rejected() {
+        let dram = DramConfig::cxl_1tb_ddr4_2933();
+        let mut c = DtlConfig::paper();
+        c.au_bytes = c.segment_bytes << 20;
+        c.validate(&dram).unwrap();
+        c.au_bytes = c.segment_bytes << 21;
+        let err = c.validate(&dram).unwrap_err();
+        assert!(err.to_string().contains("1 << 20 offsets"), "{err}");
     }
 
     #[test]

@@ -766,17 +766,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         }
         let released: Vec<AuId> = aus.split_off(aus.len() - n_aus as usize);
         for au in released {
-            let dsns = self.tables.remove_au(handle.host, au)?;
-            for (off, dsn) in dsns.iter().enumerate() {
-                let cancelled = self.migrate.cancel_involving(*dsn);
-                for job in cancelled {
-                    self.cancel_job(job.id, job.kind, *dsn, now)?;
-                }
-                self.translator.invalidate(Hsn { host: handle.host, au, au_offset: off as u32 });
-            }
-            self.alloc.free_segments(&dsns)?;
-            self.tap.record(DeviceCommand::AuRemoved { host: handle.host, au, dsns, at: now });
-            self.hosts.get_mut(&handle.host).expect("still present").free_aus.push(au);
+            self.release_au(handle.host, au, now)?;
         }
         if self.powerdown_enabled {
             self.try_power_down(now)?;
@@ -795,18 +785,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         let aus = state.vms.remove(&handle.vm).ok_or(DtlError::UnknownVm(handle))?;
         let released = aus.len() as u64 * self.config.segments_per_au();
         for au in aus {
-            let dsns = self.tables.remove_au(handle.host, au)?;
-            for (off, dsn) in dsns.iter().enumerate() {
-                let cancelled = self.migrate.cancel_involving(*dsn);
-                for job in cancelled {
-                    self.cancel_job(job.id, job.kind, *dsn, now)?;
-                }
-                self.translator.invalidate(Hsn { host: handle.host, au, au_offset: off as u32 });
-            }
-            self.alloc.free_segments(&dsns)?;
-            self.tap.record(DeviceCommand::AuRemoved { host: handle.host, au, dsns, at: now });
-            let state = self.hosts.get_mut(&handle.host).expect("still present");
-            state.free_aus.push(au);
+            self.release_au(handle.host, au, now)?;
         }
         self.stats.vms_deallocated += 1;
         self.telemetry.emit(
@@ -819,6 +798,25 @@ impl<B: MemoryBackend> DtlDevice<B> {
         if self.powerdown_enabled {
             self.try_power_down(now)?;
         }
+        Ok(())
+    }
+
+    /// Unmaps one AU of `host`: cancels the migrations that touch each of
+    /// its segments, drops the segment's cached translation, frees the
+    /// segments and hands the AU id back for reuse. The order matters: the
+    /// allocator's FIFO free lists decide where later allocations land.
+    fn release_au(&mut self, host: HostId, au: AuId, now: Picos) -> Result<(), DtlError> {
+        let dsns = self.tables.remove_au(host, au)?;
+        for (off, dsn) in dsns.iter().enumerate() {
+            let cancelled = self.migrate.cancel_involving(*dsn);
+            for job in cancelled {
+                self.cancel_job(job.id, job.kind, *dsn, now)?;
+            }
+            self.translator.invalidate(Hsn { host, au, au_offset: off as u32 });
+        }
+        self.alloc.free_segments(&dsns)?;
+        self.tap.record(DeviceCommand::AuRemoved { host, au, dsns, at: now });
+        self.hosts.get_mut(&host).expect("still present").free_aus.push(au);
         Ok(())
     }
 
@@ -1714,12 +1712,16 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// [`DtlError::Internal`] describing the first violation:
     /// * forward/reverse mapping consistency;
     /// * allocator free/allocated partitioning;
+    /// * SMC placement and coherence: every cached translation sits where
+    ///   the cache's own lookup and invalidation probe for it, and equals
+    ///   the table walk;
     /// * **no mapped (live) segment may sit in an MPSM rank** — MPSM loses
     ///   data;
     /// * every mapped segment is marked allocated.
     pub fn check_invariants(&self) -> Result<(), DtlError> {
         self.tables.check_consistency()?;
         self.alloc.check_consistency()?;
+        self.translator.check_consistency(&self.tables)?;
         for (dsn, hsn) in self.tables.iter_mapped() {
             let loc = self.geo.location(dsn);
             if self.backend.rank_state(loc.channel, loc.rank) == PowerState::Mpsm {
@@ -1906,6 +1908,83 @@ mod tests {
         assert!(dev.stats().capacity_wakes > 0);
         assert!(dev.last_admission_latency() > carve * (big / au_bytes()));
         assert_eq!(dev.admission_histogram().count(), 5);
+    }
+
+    /// Allocates one VM and reads its first segment, leaving that
+    /// translation cached; returns the cached HSN, its DSN and the home
+    /// L2 set of its key in the tiny SMC (16 sets).
+    fn cached_translation(dev: &mut DtlDevice<AnalyticBackend>) -> (Hsn, Dsn, usize) {
+        let vm = dev.alloc_vm(HostId(0), au_bytes(), Picos::ZERO).unwrap();
+        let out = dev
+            .access(HostId(0), vm.hpa_base(0, au_bytes()), AccessKind::Read, Picos::ZERO)
+            .unwrap();
+        let hsn = Hsn { host: HostId(0), au: vm.aus[0], au_offset: 0 };
+        dev.check_invariants().unwrap();
+        (hsn, out.dsn, hsn.pack() as usize % 16)
+    }
+
+    #[test]
+    fn invariant_check_catches_a_misplaced_smc_entry() {
+        let mut dev = device();
+        let (hsn, dsn, home) = cached_translation(&mut dev);
+        // The right DSN in the wrong set: invalidation would never find it.
+        dev.translator.smc_mut().plant_l2_entry_for_test(home + 1, hsn, dsn);
+        let err = dev.check_invariants().unwrap_err();
+        assert!(err.to_string().contains(&format!("SMC L2 set {}", home + 1)), "{err}");
+    }
+
+    #[test]
+    fn invariant_check_catches_a_stale_smc_translation() {
+        let mut dev = device();
+        let (hsn, dsn, home) = cached_translation(&mut dev);
+        dev.translator.smc_mut().plant_l2_entry_for_test(home, hsn, Dsn(dsn.0 + 1));
+        let err = dev.check_invariants().unwrap_err();
+        assert!(err.to_string().contains("but the tables give"), "{err}");
+    }
+
+    /// The paths that rewrite the tables — dealloc with AU-id reuse,
+    /// shrink, drain remaps and the hotness engine's moves — leave the SMC
+    /// coherent.
+    #[test]
+    fn smc_stays_coherent_across_remaps_and_au_reuse() {
+        let mut dev = device();
+        let segs = dev.config().segments_per_au();
+        let seg = dev.config().segment_bytes;
+        let touch = |dev: &mut DtlDevice<AnalyticBackend>, vm: &VmAllocation, t: Picos| {
+            for i in 0..vm.aus.len() {
+                for off in 0..segs {
+                    let hpa = vm.hpa_base(i, au_bytes()).offset_by(off * seg);
+                    dev.access(vm.handle.host, hpa, AccessKind::Read, t).unwrap();
+                }
+            }
+            dev.check_invariants().unwrap();
+        };
+        let sizes = [1, 1, 2, 1];
+        let vms: Vec<_> = (0..4)
+            .map(|i| dev.alloc_vm(HostId(0), sizes[i] * au_bytes(), Picos::ZERO).expect("fits"))
+            .collect();
+        for vm in &vms {
+            touch(&mut dev, vm, Picos::from_us(5));
+        }
+        dev.shrink_vm(vms[2].handle, 1, Picos::from_us(8)).unwrap();
+        dev.dealloc_vm(vms[1].handle, Picos::from_us(10)).unwrap();
+        dev.dealloc_vm(vms[3].handle, Picos::from_us(10)).unwrap();
+        dev.check_invariants().unwrap();
+        // The freed AU ids come back; their stale translations must not.
+        let reused = dev.alloc_vm(HostId(0), au_bytes(), Picos::from_us(12)).unwrap();
+        touch(&mut dev, &reused, Picos::from_us(12));
+        // Keep one segment hot so the hotness engine has traffic to sort.
+        let hot = vms[2].hpa_base(0, au_bytes());
+        let mut t = Picos::from_us(20);
+        for _ in 0..400 {
+            dev.access(HostId(0), hot, AccessKind::Read, t).unwrap();
+            dev.tick(t).unwrap();
+            dev.check_invariants().unwrap();
+            t += Picos::from_us(25);
+        }
+        assert!(dev.migration_stats().completed > 0, "remaps must actually run");
+        touch(&mut dev, &vms[0], t);
+        touch(&mut dev, &reused, t);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{Dsn, Hsn};
+use crate::error::DtlError;
 
 /// Where a lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -165,17 +166,71 @@ impl SegmentMappingCache {
     }
 
     /// Invalidates an HSN in both levels (called on remap); returns whether
-    /// any entry was present.
+    /// any entry was present. Like the hardware, this probes L1 and the
+    /// key's own L2 set only: `insert_l2` places every L2 entry in
+    /// `l2_set_range(key)`, and [`SegmentMappingCache::check_consistency`]
+    /// verifies that placement.
     pub fn invalidate(&mut self, hsn: Hsn) -> bool {
         let key = hsn.pack();
+        let range = self.l2_set_range(key);
         let mut any = false;
-        for e in self.l1.iter_mut().chain(self.l2.iter_mut()) {
+        for e in self.l1.iter_mut().chain(self.l2[range].iter_mut()) {
             if e.valid && e.key == key {
                 e.valid = false;
                 any = true;
             }
         }
         any
+    }
+
+    /// Checks that the cache is well formed and coherent with the mapping
+    /// tables, whose walk is `walk`: every valid L2 entry sits in its key's
+    /// set, no key appears twice in L1 or twice within one set, and every
+    /// valid entry's DSN equals the walk's.
+    ///
+    /// # Errors
+    ///
+    /// [`DtlError::Internal`] naming the first offending entry.
+    pub fn check_consistency(&self, walk: impl Fn(Hsn) -> Option<Dsn>) -> Result<(), DtlError> {
+        let fail = |reason: String| Err(DtlError::Internal { reason });
+        for (i, e) in self.l1.iter().enumerate() {
+            if e.valid && self.l1[..i].iter().any(|o| o.valid && o.key == e.key) {
+                return fail(format!("SMC L1 holds {} twice", Hsn::unpack(e.key)));
+            }
+        }
+        for (i, set) in self.l2.chunks(self.l2_ways).enumerate() {
+            for (w, e) in set.iter().enumerate() {
+                if !e.valid {
+                    continue;
+                }
+                if self.l2_set_range(e.key).start != i * self.l2_ways {
+                    return fail(format!("SMC L2 set {i} holds {}", Hsn::unpack(e.key)));
+                }
+                if set[..w].iter().any(|o| o.valid && o.key == e.key) {
+                    return fail(format!("SMC L2 set {i} holds {} twice", Hsn::unpack(e.key)));
+                }
+            }
+        }
+        for e in self.l1.iter().chain(&self.l2).filter(|e| e.valid) {
+            let hsn = Hsn::unpack(e.key);
+            let walked = walk(hsn);
+            if walked != Some(e.dsn) {
+                return fail(format!(
+                    "SMC caches {hsn} -> {} but the tables give {walked:?}",
+                    e.dsn
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Plants `hsn → dsn` in way 0 of L2 set `set`, bypassing placement
+    /// and coherence — a mutation hook for the consistency check's tests.
+    #[cfg(test)]
+    pub(crate) fn plant_l2_entry_for_test(&mut self, set: usize, hsn: Hsn, dsn: Dsn) {
+        self.tick += 1;
+        let start = (set % self.l2_sets) * self.l2_ways;
+        self.l2[start] = Entry { key: hsn.pack(), dsn, lru: self.tick, valid: true };
     }
 
     fn insert_l1(&mut self, key: u64, dsn: Dsn) {
@@ -294,6 +349,79 @@ mod tests {
         for i in 0..4 {
             assert_ne!(smc.lookup(hsn(i)).0, SmcOutcome::Miss, "offset {i}");
         }
+    }
+
+    #[test]
+    fn invalidate_reaches_a_key_evicted_from_l1() {
+        let mut smc = SegmentMappingCache::new(2, 16, 4);
+        for i in 0..4 {
+            smc.fill(hsn(i), Dsn(u64::from(i)));
+        }
+        // hsn(0) left the 2-entry L1 but still sits in L2 set 0.
+        assert!(smc.l1.iter().all(|e| !e.valid || e.key != hsn(0).pack()));
+        assert!(smc.invalidate(hsn(0)));
+        assert_eq!(smc.lookup(hsn(0)), (SmcOutcome::Miss, None));
+        smc.check_consistency(|h| Some(Dsn(u64::from(h.au_offset)))).unwrap();
+    }
+
+    #[test]
+    fn invalidating_an_absent_key_spares_its_full_set() {
+        let mut smc = SegmentMappingCache::new(1, 16, 4);
+        // Offsets 1, 5, 9 and 13 fill set 1 of the 4-set L2.
+        let resident: Vec<Hsn> = (0..4).map(|k| hsn(1 + 4 * k)).collect();
+        for h in &resident {
+            smc.fill(*h, Dsn(u64::from(h.au_offset)));
+        }
+        // hsn(17) maps to the same set but was never filled.
+        assert!(!smc.invalidate(hsn(17)));
+        for h in &resident {
+            assert_eq!(smc.lookup(*h).1, Some(Dsn(u64::from(h.au_offset))), "{h}");
+        }
+    }
+
+    #[test]
+    fn hosts_sharing_a_set_do_not_interfere() {
+        let mut smc = SegmentMappingCache::new(1, 16, 4);
+        let a = Hsn { host: HostId(1), au: AuId(0), au_offset: 2 };
+        let b = Hsn { host: HostId(2), au: AuId(0), au_offset: 2 };
+        assert_eq!(smc.l2_set_range(a.pack()), smc.l2_set_range(b.pack()));
+        smc.fill(a, Dsn(10));
+        smc.fill(b, Dsn(20));
+        assert!(smc.invalidate(a));
+        assert_eq!(smc.lookup(a).1, None);
+        assert_eq!(smc.lookup(b).1, Some(Dsn(20)));
+        assert!(smc.invalidate(b));
+        assert_eq!(smc.lookup(b).1, None);
+    }
+
+    #[test]
+    fn consistency_check_rejects_a_stale_translation() {
+        let mut smc = SegmentMappingCache::new(4, 16, 4);
+        smc.fill(hsn(3), Dsn(30));
+        // The tables remapped hsn(3) to DSN 31 without an invalidation.
+        let err = smc.check_consistency(|_| Some(Dsn(31))).unwrap_err();
+        assert!(err.to_string().contains("host0/au0/3"), "{err}");
+        // An unmapped HSN still cached is stale too.
+        assert!(smc.check_consistency(|_| None).is_err());
+    }
+
+    #[test]
+    fn consistency_check_rejects_duplicates() {
+        let walk = |h: Hsn| Some(Dsn(u64::from(h.au_offset)));
+        let mut smc = SegmentMappingCache::new(4, 16, 4);
+        // hsn(5) takes way 0 of set 1 and hsn(1) way 1; the plant
+        // overwrites way 0 with a second copy of hsn(1).
+        smc.fill(hsn(5), Dsn(5));
+        smc.fill(hsn(1), Dsn(1));
+        smc.plant_l2_entry_for_test(1, hsn(1), Dsn(1));
+        let err = smc.check_consistency(walk).unwrap_err();
+        assert!(err.to_string().contains("twice"), "{err}");
+
+        let mut smc = SegmentMappingCache::new(2, 16, 4);
+        smc.fill(hsn(1), Dsn(1));
+        smc.l1[1] = smc.l1[0];
+        let err = smc.check_consistency(walk).unwrap_err();
+        assert!(err.to_string().contains("L1 holds host0/au0/1 twice"), "{err}");
     }
 
     #[test]

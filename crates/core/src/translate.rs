@@ -132,6 +132,22 @@ impl Translator {
         self.smc.invalidate(hsn)
     }
 
+    /// Checks that the SMC is well formed and agrees with `tables`; see
+    /// [`SegmentMappingCache::check_consistency`].
+    ///
+    /// # Errors
+    ///
+    /// [`DtlError::Internal`] naming the first misplaced, duplicated or
+    /// stale entry.
+    pub fn check_consistency(&self, tables: &MappingTables) -> Result<(), DtlError> {
+        self.smc.check_consistency(|hsn| tables.translate(hsn))
+    }
+
+    #[cfg(test)]
+    pub(crate) fn smc_mut(&mut self) -> &mut SegmentMappingCache {
+        &mut self.smc
+    }
+
     /// SMC statistics.
     pub fn stats(&self) -> SmcStats {
         self.smc.stats()

@@ -1,5 +1,6 @@
 //! Property tests on the DTL's individual structures: the segment mapping
-//! cache against a reference model, the allocator's partition invariant and
+//! cache against a reference model and against a full-sweep reference
+//! cache, the allocator's partition invariant and
 //! its allocated-slot sets against a set model, and the mapping tables
 //! against a plain HSN → DSN map under random churn.
 
@@ -7,7 +8,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use dtl_core::{
     AuId, Dsn, HostId, Hsn, MappingTables, SegmentAllocator, SegmentGeometry, SegmentLocation,
-    SegmentMappingCache,
+    SegmentMappingCache, SmcOutcome, SmcStats,
 };
 
 /// Segments per AU in the mapping-table model tests.
@@ -65,6 +66,101 @@ fn assert_slots_match(
     prop_assert!(alloc.check_consistency().is_ok());
     Ok(())
 }
+/// One reference-cache line: key, DSN and last-use tick.
+type Line = Option<(u64, Dsn, u64)>;
+
+/// A naive SMC with `SegmentMappingCache`'s geometry, LRU and fill policy,
+/// whose invalidation sweeps every entry of both levels.
+struct SweepSmc {
+    l1: Vec<Line>,
+    l2: Vec<Line>,
+    ways: usize,
+    tick: u64,
+    stats: SmcStats,
+}
+
+impl SweepSmc {
+    fn new(l1: usize, sets: usize, ways: usize) -> Self {
+        SweepSmc {
+            l1: vec![None; l1],
+            l2: vec![None; sets * ways],
+            ways,
+            tick: 0,
+            stats: SmcStats::default(),
+        }
+    }
+
+    fn set(&mut self, key: u64) -> &mut [Line] {
+        let sets = self.l2.len() / self.ways;
+        let start = (key as usize % sets) * self.ways;
+        &mut self.l2[start..start + self.ways]
+    }
+
+    /// Updates `key` in `lines`, or replaces the first least recently used
+    /// line (empty lines first).
+    fn insert(lines: &mut [Line], key: u64, dsn: Dsn, tick: u64) {
+        if let Some(line) = lines.iter_mut().find(|l| matches!(l, Some((k, ..)) if *k == key)) {
+            *line = Some((key, dsn, tick));
+            return;
+        }
+        let victim = lines.iter_mut().min_by_key(|l| l.map_or(0, |(.., lru)| lru + 1)).unwrap();
+        *victim = Some((key, dsn, tick));
+    }
+
+    fn lookup(&mut self, hsn: Hsn) -> (SmcOutcome, Option<Dsn>) {
+        let key = hsn.pack();
+        self.tick += 1;
+        let tick = self.tick;
+        for (k, dsn, lru) in self.l1.iter_mut().flatten() {
+            if *k == key {
+                *lru = tick;
+                self.stats.l1_hits += 1;
+                return (SmcOutcome::L1Hit, Some(*dsn));
+            }
+        }
+        self.stats.l1_misses += 1;
+        let mut found = None;
+        for (k, dsn, lru) in self.set(key).iter_mut().flatten() {
+            if *k == key {
+                *lru = tick;
+                found = Some(*dsn);
+                break;
+            }
+        }
+        match found {
+            Some(dsn) => {
+                self.stats.l2_hits += 1;
+                Self::insert(&mut self.l1, key, dsn, tick);
+                (SmcOutcome::L2Hit, Some(dsn))
+            }
+            None => {
+                self.stats.l2_misses += 1;
+                (SmcOutcome::Miss, None)
+            }
+        }
+    }
+
+    fn fill(&mut self, hsn: Hsn, dsn: Dsn) {
+        let key = hsn.pack();
+        self.tick += 1;
+        let tick = self.tick;
+        Self::insert(&mut self.l1, key, dsn, tick);
+        Self::insert(self.set(key), key, dsn, tick);
+    }
+
+    fn invalidate(&mut self, hsn: Hsn) -> bool {
+        let key = hsn.pack();
+        let mut any = false;
+        for line in self.l1.iter_mut().chain(self.l2.iter_mut()) {
+            if matches!(line, Some((k, ..)) if *k == key) {
+                *line = None;
+                any = true;
+            }
+        }
+        any
+    }
+}
+
 use proptest::prelude::*;
 
 proptest! {
@@ -115,6 +211,38 @@ proptest! {
                 prop_assert_eq!(d, Dsn(u64::from(*k)));
             }
         }
+    }
+
+    /// The set-local invalidation clears exactly what a sweep of every
+    /// entry clears: on small geometries and random lookup / fill /
+    /// invalidate sequences over three hosts, outcomes, DSNs, `invalidate`
+    /// results and statistics match the full-sweep reference, and the
+    /// cache stays coherent with the latest fills.
+    #[test]
+    fn smc_matches_full_sweep_reference(
+        l1 in 1usize..=8,
+        set_bits in 0u32..=4,
+        ways in 1usize..=4,
+        ops in prop::collection::vec((0u8..3, 0u16..3, 0u32..2, 0u32..24, 0u64..1024), 1..300),
+    ) {
+        let sets = 1usize << set_bits;
+        let mut smc = SegmentMappingCache::new(l1, sets * ways, ways);
+        let mut reference = SweepSmc::new(l1, sets, ways);
+        let mut filled: HashMap<Hsn, Dsn> = HashMap::new();
+        for (kind, host, au, off, dsn) in ops {
+            let hsn = Hsn { host: HostId(host), au: AuId(au), au_offset: off };
+            match kind {
+                0 => prop_assert_eq!(smc.lookup(hsn), reference.lookup(hsn)),
+                1 => {
+                    smc.fill(hsn, Dsn(dsn));
+                    reference.fill(hsn, Dsn(dsn));
+                    filled.insert(hsn, Dsn(dsn));
+                }
+                _ => prop_assert_eq!(smc.invalidate(hsn), reference.invalidate(hsn)),
+            }
+            prop_assert_eq!(smc.stats(), reference.stats);
+        }
+        prop_assert!(smc.check_consistency(|h| filled.get(&h).copied()).is_ok());
     }
 
     /// Allocator: free + allocated always tile every rank, across random
